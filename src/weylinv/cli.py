@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", action="store_true", help="emit CSV tables")
     parser.add_argument("--cache-dir", default=None,
                         help="atlas cache directory (default $WEYL_CACHE or ./.weylcache)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (computation is sequential; kept for compatibility)")
     parser.add_argument("--budget", type=int, default=4,
                         help="maximum exterior power in the gap-search catalogue")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -380,9 +378,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
     except InternalError as exc:
@@ -391,6 +386,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # exit 1 means "verification failed", not a crash
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

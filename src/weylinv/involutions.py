@@ -4,8 +4,20 @@ An involution is determined by its (-1)-eigenspace, and that eigenspace is
 spanned by the roots it contains, so involutions are keyed internally by the
 bitmask of positive roots the element negates.  Cubes (sets of pairwise
 orthogonal positive roots) are keyed by their bitmask as well.  Conjugation
-then acts by permuting mask bits, which keeps the E8 classification cheap:
-bit permutations are applied through precomputed byte translation tables.
+acts on both by permuting mask bits.
+
+One orbit engine does every conjugacy computation on such masks.  A mask set
+is held as numpy rows of 64-bit words, most significant word first, sorted
+by integer value, so the first row of an orbit is its minimal mask: the
+class representative.  A permutation of the roots acts through per-byte
+lookup tables (the image of a row is the sum of one table entry per byte),
+and so does a 64-bit key per mask, the wrapping sum of fixed-seed keys of
+its bits.  Generator images are located by searchsorted on the keys and then
+compared with the set's rows exactly, so two masks sharing a key or an image
+outside the set raise InternalError instead of merging two orbits.  Orbits are
+labelled by min-label propagation along the simple reflections with pointer
+jumping.  Cube labels are computed once per root system and serve both the
+cube classes and the coverage check of a reduction.
 """
 
 from __future__ import annotations
@@ -13,13 +25,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .roots import InternalError, RootSystem, SubsystemEmbedding
 from .weyl import (GroupElement, compose, coxeter_trace, group_order,
-                   identity, orbit_partition, subgroup_order)
+                   identity, subgroup_order)
 
 
 class CacheError(ValueError):
@@ -34,45 +46,135 @@ def mask_of_perm(images: np.ndarray, rs: RootSystem) -> int:
                           "little")
 
 
-class MaskPermuter:
-    """Apply a fixed permutation of bit positions via byte lookup tables."""
+# -- the orbit engine --------------------------------------------------------
 
-    __slots__ = ("tables", "nbytes")
+_KEY_SEED = 0x9E3779B97F4A7C15  # increment of the sequence the bit keys hash
+_WORD = np.dtype("<u8")
 
-    def __init__(self, perm: Sequence[int], nbits: int):
-        self.nbytes = (nbits + 7) // 8
-        self.tables = []
-        for byte_idx in range(self.nbytes):
-            table = [0] * 256
-            for val in range(256):
-                out = 0
-                v = val
-                while v:
-                    low = v & -v
-                    i = 8 * byte_idx + low.bit_length() - 1
-                    if i < nbits:
-                        out |= 1 << perm[i]
-                    v ^= low
-                table[val] = out
-            self.tables.append(table)
 
-    def __call__(self, mask: int) -> int:
-        out = 0
-        byte_idx = 0
-        while mask:
-            out |= self.tables[byte_idx][mask & 0xFF]
-            mask >>= 8
-            byte_idx += 1
+def _bit_keys(nbits: int) -> np.ndarray:
+    """Fixed pseudo-random 64-bit key of each mask bit (splitmix64 mixing)."""
+    z = np.arange(1, nbits + 1, dtype=np.uint64) * np.uint64(_KEY_SEED)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+class MaskEngine:
+    """Permutations of the positive roots acting on packed bitmask rows.
+
+    A row is `nwords` little-endian 64-bit words, most significant first, so
+    byte j of a row's byte view holds mask bits base(j) .. base(j) + 7.
+    `generators` holds the byte tables of the simple reflections.
+    """
+
+    def __init__(self, rs: RootSystem):
+        P = rs.n_positive
+        self.nbits = P
+        self.nwords = (P + 63) // 64
+        j = np.arange(8 * self.nwords)
+        base = (self.nwords - 1 - j // 8) * 64 + (j % 8) * 8
+        self._bytes = np.flatnonzero(base < P)
+        src = base[self._bytes, None] + np.arange(8)
+        self._valid = (src < P)[:, :, None]
+        self._src = np.where(src < P, src, 0)
+        self._byte_bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint64)
+        self._unit_rows = self.rows([1 << i for i in range(P)])
+        self._key_tables = self._byte_tables(_bit_keys(P)[:, None])
+        self.generators = [self._byte_tables(self._unit_rows[rs.positive_perm(p)])
+                           for p in rs.simple_reflection_perms()]
+
+    def _byte_tables(self, per_bit: np.ndarray) -> np.ndarray:
+        """Entry [j, v]: wrapping sum of per_bit over the bits v sets in byte j."""
+        vals = per_bit[self._src] * self._valid
+        return (self._byte_bits[None, :, :, None] * vals[:, None]).sum(axis=2)
+
+    def apply(self, rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """Sum of one table entry per byte of each row: the image rows under a
+        permutation's tables, the keys under the key tables."""
+        view = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
+        acc = np.zeros((len(rows), tables.shape[2]), dtype=_WORD)
+        for j, table in zip(self._bytes, tables):
+            acc += table.take(view[:, j], axis=0)
+        return acc
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        return self.apply(rows, self._key_tables)[:, 0]
+
+    def rows(self, masks: Sequence[int]) -> np.ndarray:
+        out = np.empty((len(masks), self.nwords), dtype=_WORD)
+        for w in range(self.nwords):
+            shift = 64 * (self.nwords - 1 - w)
+            out[:, w] = np.fromiter(((m >> shift) & 0xFFFFFFFFFFFFFFFF for m in masks),
+                                    dtype=np.uint64, count=len(masks))
         return out
 
+    def mask(self, row: np.ndarray) -> int:
+        return int.from_bytes(row.astype(">u8").tobytes(), "big")
 
-def _simple_mask_permuters(rs: RootSystem) -> list[MaskPermuter]:
-    permuters = getattr(rs, "_mask_permuters", None)
-    if permuters is None:
-        permuters = [MaskPermuter(rs.positive_perm(p), rs.n_positive)
-                     for p in rs.simple_reflection_perms()]
-        rs._mask_permuters = permuters
-    return permuters
+    def bit_matrix(self, rows: np.ndarray) -> np.ndarray:
+        """Boolean matrix whose column i is mask bit i of each row."""
+        bits = np.unpackbits(np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8),
+                             axis=1, bitorder="little")
+        i = np.arange(self.nbits)
+        return bits[:, 64 * (self.nwords - 1 - i // 64) + i % 64].astype(bool)
+
+    def _distinct(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rows and their keys; rows sharing a key must be equal."""
+        keys = self.keys(rows)
+        keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if not np.array_equal(rows[first][inverse], rows):
+            raise InternalError("two masks share a 64-bit key (a key collision)")
+        return rows[first], keys
+
+    def orbit(self, rows: np.ndarray) -> np.ndarray:
+        """Every mask in the orbits of the given rows, sorted by integer value."""
+        rows, keys = self._distinct(rows)
+        frontier = rows
+        while len(frontier):
+            grown, grown_keys = self._distinct(np.concatenate(
+                [rows] + [self.apply(frontier, g) for g in self.generators]))
+            frontier = grown[~np.isin(grown_keys, keys, assume_unique=True)]
+            rows, keys = grown, grown_keys
+        return rows[np.lexsort(rows.T[::-1])]
+
+
+class MaskSet:
+    """Distinct masks as rows sorted by integer value, with exact lookup."""
+
+    def __init__(self, engine: MaskEngine, rows: np.ndarray):
+        self.engine = engine
+        rows, self._keys = engine._distinct(rows)
+        order = np.lexsort(rows.T[::-1])
+        self.rows = rows[order]
+        self._by_key = np.argsort(order)  # key position -> row position
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the given rows in the set; a missing row is an error."""
+        keys = self.engine.keys(rows)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        idx = self._by_key[pos]
+        if not (np.array_equal(self._keys[pos], keys)
+                and np.array_equal(self.rows[idx], rows)):
+            raise InternalError(
+                "orbit action left the mask set; enumeration is incomplete")
+        return idx
+
+    def orbit_labels(self) -> np.ndarray:
+        """Position of the minimal mask of each row's orbit."""
+        images = [self.find(self.engine.apply(self.rows, g))
+                  for g in self.engine.generators]
+        labels = np.arange(len(self.rows))
+        while True:
+            new = labels
+            for img in images:
+                new = np.minimum(new, new[img])
+            jumped = new[new]
+            while not np.array_equal(jumped, new):
+                new, jumped = jumped, jumped[jumped]
+            if np.array_equal(new, labels):
+                return labels
+            labels = new
 
 
 # -- cubes ------------------------------------------------------------------
@@ -129,9 +231,11 @@ def enumerate_cubes(rs: RootSystem) -> Iterator[Cube]:
         yield Cube(rs, _mask_bits(bits))
 
 
-def _clique_masks(rs: RootSystem) -> Iterator[int]:
+def _clique_masks(rs: RootSystem, within: int | None = None) -> Iterator[int]:
+    """Clique bitmasks, depth first; only roots in `within` if it is given."""
     orth = rs.orth_masks
-    full = (1 << rs.n_positive) - 1
+    if within is None:
+        within = (1 << rs.n_positive) - 1
 
     def rec(mask: int, cand: int) -> Iterator[int]:
         yield mask
@@ -142,7 +246,7 @@ def _clique_masks(rs: RootSystem) -> Iterator[int]:
             m ^= low
             yield from rec(mask | low, cand & orth[b] & -(low << 1))
 
-    yield from rec(0, full)
+    yield from rec(0, within)
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -304,13 +408,15 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
         return cached
 
     by_degree = _involution_masks(rs)
-    permuters = _simple_mask_permuters(rs)
+    engine = MaskEngine(rs)
     raw: list[tuple[int, int, int]] = []  # (degree, size, min mask)
     total = 0
     for degree, masks in sorted(by_degree.items()):
         total += len(masks)
-        for component in orbit_partition(masks, permuters):
-            raw.append((degree, len(component), component[0]))
+        layer = MaskSet(engine, engine.rows(masks))
+        labels, sizes = np.unique(layer.orbit_labels(), return_counts=True)
+        raw.extend((degree, int(size), engine.mask(layer.rows[label]))
+                   for label, size in zip(labels, sizes))
     if sum(size for _, size, _ in raw) != total:
         raise InternalError("class sizes do not add up to the involution count")
 
@@ -350,37 +456,20 @@ class CubeClass:
         return f"CubeClass(rank {self.rank}, size {self.size})"
 
 
-def _cube_orbit_scan(rs: RootSystem, cover_mask: Optional[int] = None,
-                     ) -> list[tuple[int, int, int, bool]]:
-    """Orbit-partition every clique; returns (rank, size, min mask, covered)."""
-    permuters = _simple_mask_permuters(rs)
-    visited: set[int] = set()
-    classes = []
-    for mask in _clique_masks(rs):
-        if mask in visited:
-            continue
-        visited.add(mask)
-        min_mask = mask
-        size = 1
-        covered = cover_mask is not None and mask & ~cover_mask == 0
-        frontier = [mask]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for act in permuters:
-                    img = act(m)
-                    if img not in visited:
-                        visited.add(img)
-                        nxt.append(img)
-                        size += 1
-                        if img < min_mask:
-                            min_mask = img
-                        if cover_mask is not None and img & ~cover_mask == 0:
-                            covered = True
-            frontier = nxt
-        classes.append((bin(min_mask).count("1"), size, min_mask, covered))
-    classes.sort()
-    return classes
+def _cube_orbits(rs: RootSystem) -> tuple[MaskSet, np.ndarray, list]:
+    """Every clique, the orbit label of each, and (rank, size, min mask, label)
+    of each class in class order.  Computed once per root system."""
+    cached = getattr(rs, "_cube_orbits", None)
+    if cached is None:
+        engine = MaskEngine(rs)
+        cliques = MaskSet(engine, engine.rows(list(_clique_masks(rs))))
+        labels = cliques.orbit_labels()
+        reps, sizes = np.unique(labels, return_counts=True)
+        masks = [engine.mask(cliques.rows[label]) for label in reps]
+        classes = sorted((mask.bit_count(), int(size), mask, int(label))
+                         for mask, size, label in zip(masks, sizes, reps))
+        cached = rs._cube_orbits = (cliques, labels, classes)
+    return cached
 
 
 def classify_cubes(rs: RootSystem) -> list[CubeClass]:
@@ -388,7 +477,7 @@ def classify_cubes(rs: RootSystem) -> list[CubeClass]:
     cached = getattr(rs, "_cube_classes", None)
     if cached is None:
         cached = [CubeClass(Cube(rs, _mask_bits(mask)), rank, size)
-                  for rank, size, mask, _ in _cube_orbit_scan(rs)]
+                  for rank, size, mask, _ in _cube_orbits(rs)[2]]
         rs._cube_classes = cached
     return cached
 
@@ -431,8 +520,10 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
     if total % sub_order:
         raise InternalError("subgroup order does not divide the group order")
     index = total // sub_order
-    scan = _cube_orbit_scan(rs, cover_mask=sub.positive_closure_mask())
-    rows = tuple((rank, size, covered) for rank, size, _, covered in scan)
+    cliques, labels, classes = _cube_orbits(rs)
+    inside = cliques.engine.rows(list(_clique_masks(rs, sub.positive_closure_mask())))
+    hit = set(labels[cliques.find(inside)].tolist())
+    rows = tuple((rank, size, label in hit) for rank, size, _, label in classes)
     all_covered = all(covered for _, _, covered in rows)
     odd = index % 2 == 1
     return ReductionReport(

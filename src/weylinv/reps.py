@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .roots import InternalError, RootSystem, SubsystemEmbedding, TypeSpec, find_subsystem
-from .involutions import InvolutionClass, MaskPermuter
+from .involutions import InvolutionClass, MaskEngine
 from .weyl import GroupElement, compose, coxeter_trace, element_matrix, length_parity
 
 
@@ -96,37 +96,15 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
         if emb is None:
             raise ValueError(f"{rs.type_spec} has no subsystem of type {sub}")
         sub = emb
-    start = sub.positive_closure_mask()
-    permuters = [MaskPermuter(rs.positive_perm(p), rs.n_positive)
-                 for p in rs.simple_reflection_perms()]
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for act in permuters:
-                img = act(mask)
-                if img not in orbit:
-                    orbit.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    orbit_list = sorted(orbit)
+    engine = MaskEngine(rs)
+    orbit = engine.bit_matrix(engine.orbit(engine.rows([sub.positive_closure_mask()])))
+    P = rs.n_positive
 
     def tr(g: GroupElement) -> int:
-        fold = rs.positive_perm(g.images)
-        fixed = 0
-        for mask in orbit_list:
-            out = 0
-            m = mask
-            while m:
-                low = m & -m
-                out |= 1 << fold[low.bit_length() - 1]
-                m ^= low
-            if out == mask:
-                fixed += 1
-        return fixed
+        fold = g.images[:P] % P  # bit i of a mask goes to bit fold[i]
+        return int(np.count_nonzero((orbit[:, fold] == orbit).all(axis=1)))
 
-    return Representation(f"conj[{sub.sub_type}]", len(orbit_list), rs, tr)
+    return Representation(f"conj[{sub.sub_type}]", len(orbit), rs, tr)
 
 
 def _is_involution(g: GroupElement) -> bool:

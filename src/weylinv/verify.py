@@ -184,7 +184,6 @@ def check_reduction_indices(full: bool = True) -> tuple[bool, str]:
         if report.index != want or not report.index_odd:
             ok = False
         notes.append(f"({amb}:{sub})={report.index}")
-        rs._last_reduction = report
     return ok, " ".join(notes)
 
 
@@ -196,11 +195,7 @@ def check_cube_coverage(full: bool = True) -> tuple[bool, str]:
         if not full and amb in ("E6", "E7", "E8"):
             continue
         rs = get_system(amb)
-        report = getattr(rs, "_last_reduction", None)
-        if report is None or report.sub_type != sub:
-            emb = find_subsystem(rs, sub)
-            report = verify_reduction(rs, emb)
-            rs._last_reduction = report
+        report = verify_reduction(rs, find_subsystem(rs, sub))
         covered = sum(1 for _, _, c in report.cube_classes if c)
         notes.append(f"{amb}: {covered}/{len(report.cube_classes)}")
         if not report.all_covered:

@@ -146,6 +146,19 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_unexpected_error_exits_internal(monkeypatch, capsys):
+    from weylinv import cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "roots", boom)
+    code, out, err = run_cli(capsys, "roots", "A1")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: boom"]
+
+
 def test_verify_fast_exits_zero(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path),
                            "verify", "--fast")

@@ -13,6 +13,7 @@ from weylinv import (CacheError, Cube, Involution, atlas_from_json_dict,
                      find_subsystem, group_order, identity, invert,
                      involution_count, involution_from_cube,
                      simple_reflections, split_involution, verify_reduction)
+from weylinv.verify import REDUCTION_PAIRS, get_system
 
 
 def census_oracle(rs):
@@ -275,10 +276,106 @@ def test_b2_rank2_cube_classes_not_conjugate(system):
 
 
 def test_cube_class_sizes_sum_to_clique_count(system):
-    for name in ("B3", "F4"):
+    for name in ("B3", "F4", "E6", "E7"):
         rs = system(name)
         total = sum(1 for _ in enumerate_cubes(rs))
         assert sum(c.size for c in classify_cubes(rs)) == total
+
+
+# -- the orbit engine against the pure-Python orbit partition -----------------
+
+RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+             "D3", "D4", "F4", "G2"]
+
+
+def python_mask_actions(rs):
+    """Simple reflections acting on Python-int masks, one bit at a time."""
+    def action(perm):
+        def act(mask):
+            out = 0
+            for i in range(rs.n_positive):
+                if mask >> i & 1:
+                    out |= 1 << perm[i]
+            return out
+        return act
+    return [action(rs.positive_perm(p)) for p in rs.simple_reflection_perms()]
+
+
+@pytest.mark.parametrize("name", RANK_LE_4)
+def test_engine_involution_classes_match_orbit_partition(system, name):
+    from weylinv import orbit_partition
+    from weylinv.involutions import _involution_masks
+    rs = system(name)
+    actions = python_mask_actions(rs)
+    oracle = sorted((degree, len(orbit), orbit[0])
+                    for degree, masks in _involution_masks(rs).items()
+                    for orbit in orbit_partition(masks, actions))
+    assert [(c.degree, c.size, c.representative.mask)
+            for c in classify_involutions(rs)] == oracle
+
+
+@pytest.mark.parametrize("name", RANK_LE_4)
+def test_engine_cube_classes_match_orbit_partition(system, name):
+    from weylinv import orbit_partition
+    rs = system(name)
+    oracle = sorted((bin(orbit[0]).count("1"), len(orbit), orbit[0])
+                    for orbit in orbit_partition(
+                        [c.mask for c in enumerate_cubes(rs)],
+                        python_mask_actions(rs)))
+    assert [(c.rank, c.size, c.representative.mask)
+            for c in classify_cubes(rs)] == oracle
+
+
+def test_engine_packing_across_words():
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("E8")  # 120 positive roots: two words per mask
+    engine = MaskEngine(rs)
+    rng = random.Random(7)
+    masks = [rng.getrandbits(rs.n_positive) for _ in range(40)]
+    rows = engine.rows(masks)
+    assert [engine.mask(row) for row in rows] == masks
+    assert engine.bit_matrix(rows).tolist() == \
+        [[bool(m >> i & 1) for i in range(rs.n_positive)] for m in masks]
+    for tables, act in zip(engine.generators, python_mask_actions(rs)):
+        assert [engine.mask(row) for row in engine.apply(rows, tables)] == \
+            [act(m) for m in masks]
+
+
+def test_engine_rejects_image_outside_the_set():
+    from weylinv import InternalError
+    from weylinv.involutions import MaskEngine, MaskSet
+    rs = build_root_system("A2")
+    engine = MaskEngine(rs)
+    reflections = MaskSet(engine, engine.rows([0b001, 0b010]))  # 0b100 missing
+    with pytest.raises(InternalError, match="left the mask set"):
+        reflections.orbit_labels()
+
+
+def test_engine_rejects_key_collision(monkeypatch):
+    from weylinv import InternalError, conj_subsystem_rep
+    from weylinv import involutions
+    from weylinv.involutions import MaskEngine, MaskSet
+    monkeypatch.setattr(involutions, "_KEY_SEED", 0)  # every bit key is 0
+    rs = build_root_system("A2")
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        classify_involutions(rs)
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        classify_cubes(rs)
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        conj_subsystem_rep(rs, "A1")
+    engine = MaskEngine(rs)
+    single = MaskSet(engine, engine.rows([0b001]))  # image 0b010 has the same key
+    with pytest.raises(InternalError, match="left the mask set"):
+        single.orbit_labels()
+
+
+@pytest.mark.parametrize("amb,sub", [(amb, sub) for amb, sub, _ in REDUCTION_PAIRS])
+def test_reduction_independent_of_cube_state(amb, sub):
+    fresh = build_root_system(amb)
+    classified = get_system(amb)  # shared with the acceptance battery
+    classify_cubes(classified)
+    assert verify_reduction(fresh, find_subsystem(fresh, sub)) == \
+        verify_reduction(classified, find_subsystem(classified, sub))
 
 
 # -- verify_reduction ---------------------------------------------------------------
