@@ -11,14 +11,14 @@ representation stable under the outer automorphism, and only the split
 halves of the half-subset action separate it.
 """
 
-from weylinv import build_root_system, classify_involutions
+from weylinv import build_root_system, classify_involutions, default_catalogue
 from weylinv.verify import hard_case_reports
 
 for name in ("D6", "E7"):
     rs = build_root_system(name)
     classes = classify_involutions(rs)
     print(f"{name}: degrees {[c.degree for c in classes]}")
-    for report in hard_case_reports(name):
+    for report in hard_case_reports(classes, default_catalogue(rs)):
         hits = ", ".join(f"{d} ({g:+d})" for d, g in report.hits[:4])
         more = f" ... +{len(report.hits) - 4} more" if len(report.hits) > 4 else ""
         print(f"  pair {report.pair[0]} | {report.pair[1]}  target 2^"
@@ -28,8 +28,7 @@ for name in ("D6", "E7"):
 
 print("E8's degree-4 pair (takes ~15s: full classification first):")
 rs = build_root_system("E8")
-classify_involutions(rs)
-for report in hard_case_reports("E8"):
+for report in hard_case_reports(classify_involutions(rs), default_catalogue(rs)):
     print(f"  pair {report.pair[0]} | {report.pair[1]}  target {report.target}")
     for descriptor, gap in report.hits[:5]:
         print(f"    {descriptor}: {gap:+d}")

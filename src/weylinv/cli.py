@@ -333,10 +333,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_gap(args) -> int:
     rs = build_root_system(args.type)
-    _atlas(args, rs)
+    classes, _ = _atlas(args, rs)
     budget = GapBudget(max_exterior=args.budget)
-    _, skipped = base_catalogue(rs, budget)
-    reports = hard_case_reports(str(rs.type_spec), budget)
+    base, skipped = base_catalogue(rs, budget)
+    reports = hard_case_reports(classes, default_catalogue(rs, budget, base))
     if args.json:
         _emit_json({"type": str(rs.type_spec),
                     "partial": bool(skipped),

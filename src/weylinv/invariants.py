@@ -238,9 +238,8 @@ class InvariantExpr:
     def _merge_reps(self, other: "InvariantExpr") -> dict[str, Representation]:
         merged = dict(self.reps)
         for key, rep in other.reps.items():
-            if key in merged and merged[key] != rep:
+            if merged.setdefault(key, rep) is not rep:
                 raise ValueError(f"descriptor {key!r} bound to two representations")
-            merged[key] = rep
         return merged
 
     def __add__(self, other: "InvariantExpr") -> "InvariantExpr":
@@ -370,12 +369,7 @@ def _binomial_parity_poly(m: int) -> int:
 
 def total_class(rep: Representation, cube: Cube) -> CubeClassElement:
     """Total Stiefel-Whitney class of the restriction of rep to the cube."""
-    rs = cube.home
-    cache = getattr(rs, "_total_class_cache", None)
-    if cache is None:
-        cache = rs._total_class_cache = {}
-    key = (rep.descriptor, cube.roots)
-    cached = cache.get(key)
+    cached = rep.total_classes.get(cube)
     if cached is not None:
         return cached
 
@@ -395,7 +389,7 @@ def total_class(rep: Representation, cube: Cube) -> CubeClassElement:
             if eps >> i & 1:
                 factor_coeffs[1 << i] = fbits
         out = out * CubeClassElement(n, factor_coeffs)
-    cache[key] = out
+    rep.total_classes[cube] = out
     return out
 
 

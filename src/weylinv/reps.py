@@ -21,9 +21,12 @@ from .weyl import GroupElement, compose, coxeter_trace, element_matrix, length_p
 
 
 class Representation:
-    """An orthogonal representation given by dimension and an exact trace."""
+    """An orthogonal representation given by dimension and an exact trace.
 
-    __slots__ = ("descriptor", "dim", "home", "_trace_fn")
+    Equality is identity: two representations may share a descriptor.
+    """
+
+    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "total_classes")
 
     def __init__(self, descriptor: str, dim: int, home: RootSystem,
                  trace_fn: Callable[[GroupElement], int]):
@@ -31,19 +34,12 @@ class Representation:
         self.dim = dim
         self.home = home
         self._trace_fn = trace_fn
+        self.total_classes: dict = {}  # Cube -> memo of invariants.total_class
 
     def trace(self, g: GroupElement) -> int:
         if g.home is not self.home:
             raise ValueError("element belongs to a different root system")
         return self._trace_fn(g)
-
-    def __eq__(self, other):
-        return (isinstance(other, Representation)
-                and self.home is other.home
-                and self.descriptor == other.descriptor)
-
-    def __hash__(self):
-        return hash((id(self.home), self.descriptor))
 
     def __repr__(self):
         return f"Representation({self.descriptor}, dim {self.dim})"
@@ -294,9 +290,14 @@ def base_catalogue(rs: RootSystem, budget: GapBudget = GapBudget(),
 
 
 def default_catalogue(rs: RootSystem, budget: GapBudget = GapBudget(),
+                      base: Optional[list[Representation]] = None,
                       ) -> list[Representation]:
-    """The built-in searchable representations of one group, fixed order."""
-    base, _ = base_catalogue(rs, budget)
+    """The built-in searchable representations of one group, fixed order.
+
+    base is the first list returned by base_catalogue, if already built.
+    """
+    if base is None:
+        base, _ = base_catalogue(rs, budget)
     out = list(base)
     if budget.include_sums:
         for i in range(len(base)):

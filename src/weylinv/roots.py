@@ -20,6 +20,18 @@ FAMILIES = "ABCDEFG"
 
 _SPEC_RE = re.compile(r"([A-Ga-g])(\d+)")
 
+MAX_ROOTS = 32768  # root indices are int16
+
+
+def _factor_root_count(fam: str, n: int) -> int:
+    if fam == "A":
+        return n * (n + 1)
+    if fam in "BC":
+        return 2 * n * n
+    if fam == "D":
+        return 2 * n * (n - 1)
+    return {"E6": 72, "E7": 126, "E8": 240, "F4": 48, "G2": 12}[f"{fam}{n}"]
+
 
 class InternalError(RuntimeError):
     """A structural invariant that must hold by construction was violated."""
@@ -36,6 +48,9 @@ class TypeSpec:
             raise ValueError("type spec needs at least one factor")
         for fam, rank in self.factors:
             _check_factor(fam, rank)
+        if self.root_count > MAX_ROOTS:
+            raise ValueError(f"{self} has {self.root_count} roots; "
+                             f"at most {MAX_ROOTS} are supported")
 
     @classmethod
     def parse(cls, text: str) -> "TypeSpec":
@@ -53,6 +68,10 @@ class TypeSpec:
     @property
     def rank(self) -> int:
         return sum(rank for _, rank in self.factors)
+
+    @property
+    def root_count(self) -> int:
+        return sum(_factor_root_count(fam, n) for fam, n in self.factors)
 
 
 def _check_factor(fam: str, rank: int) -> None:
@@ -257,7 +276,7 @@ class RootSystem:
             self.orth_masks.append(mask)
 
         self._refl_cache: dict[int, np.ndarray] = {}
-        self._order: Optional[int] = None
+        self._chain = None  # the Steinberg chain of W, built by weyl.stab_chain
 
     # -- basic queries -----------------------------------------------------
 

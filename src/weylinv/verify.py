@@ -28,9 +28,9 @@ from .involutions import (Cube, Involution, InvolutionClass,
 from .invariants import (BasePoly, CubeClassElement, InvariantExpr,
                          canonical_basis, pairing, restrict_to_cube, sw,
                          top_coefficient, total_class)
-from .reps import (GapBudget, coxeter_rep, default_catalogue, direct_sum,
-                   exterior_cox_rep, perm_roots_rep, search_gap, sign_rep,
-                   trivial_rep)
+from .reps import (GapBudget, GapFindings, Representation, coxeter_rep,
+                   default_catalogue, direct_sum, exterior_cox_rep,
+                   perm_roots_rep, search_gap, sign_rep, trivial_rep)
 
 REDUCTION_PAIRS = (
     ("E6", "D5", 27),
@@ -282,19 +282,19 @@ def check_oracle_equivalence(full: bool = True) -> tuple[bool, str]:
                      "mismatch: " + ", ".join(bad))
 
 
-def hard_case_reports(name: str, budget: GapBudget = GapBudget()) -> list:
-    """The built-in hard pairs of one type, with their gap findings."""
-    rs = get_system(name)
-    classes = classify_involutions(rs)
+def hard_case_reports(classes: list[InvolutionClass],
+                      catalogue: list[Representation]) -> list[GapFindings]:
+    """The built-in hard pairs of one classified type, with their gap findings."""
+    rs = classes[0].home
     degrees = HARD_CASE_DEGREES.get(
-        name, tuple(sorted({c.degree for c in classes
-                            if sum(1 for d in classes if d.degree == c.degree) > 1})))
-    catalogue = default_catalogue(rs, budget)
+        str(rs.type_spec),
+        tuple(sorted({c.degree for c in classes
+                      if sum(1 for d in classes if d.degree == c.degree) > 1})))
     reports = []
     for degree in degrees:
         group = [c for c in classes if c.degree == degree]
         for a, b in combinations(group, 2):
-            reports.append(search_gap(rs, a, b, catalogue=catalogue, budget=budget))
+            reports.append(search_gap(rs, a, b, catalogue=catalogue))
     return reports
 
 
@@ -306,15 +306,15 @@ def check_hard_cases(full: bool = True) -> tuple[bool, str]:
     for name in names:
         rs = get_system(name)
         classes = classify_involutions(rs)
-        catalogue = {rep.descriptor: rep
-                     for rep in default_catalogue(rs, GapBudget())}
-        for report in hard_case_reports(name):
+        catalogue = default_catalogue(rs, GapBudget())
+        by_descriptor = {rep.descriptor: rep for rep in catalogue}
+        by_id = {cls.class_id: cls for cls in classes}
+        for report in hard_case_reports(classes, catalogue):
             if report.target != 2 ** report.degree:
                 return False, f"{name}: wrong target {report.target}"
-            by_id = {cls.class_id: cls for cls in classes}
             cls_a, cls_b = by_id[report.pair[0]], by_id[report.pair[1]]
             for descriptor, gap in report.hits:
-                rep = catalogue[descriptor]
+                rep = by_descriptor[descriptor]
                 ga = random_conjugate(cls_a, rng).element
                 gb = random_conjugate(cls_b, rng).element
                 recomputed = rep.trace(ga) - rep.trace(gb)

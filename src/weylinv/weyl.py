@@ -2,14 +2,17 @@
 
 Elements are length-2P index arrays (image of root i is images[i]); the
 underlying linear map is recovered on demand as an integer matrix in the
-simple-root basis.  The group order comes from a deterministic Schreier-Sims
-stabilizer chain on the root action, with the simple roots as base; no
+simple-root basis.  The group order is the product of the orbit sizes along
+the Steinberg chain: by Steinberg's fixed-point theorem the stabilizer of a
+point of the closed chamber is the parabolic subgroup generated by the simple
+reflections fixing it, so every level's generators are known up front.  No
 order formulas or lookup tables are involved.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence
+from math import prod
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -134,152 +137,99 @@ def length_parity(x: GroupElement) -> int:
 # -- stabilizer chain ------------------------------------------------------
 
 
-class _Level:
-    __slots__ = ("point", "gens", "transversal")
-
-    def __init__(self, point: int, n: int):
-        self.point = point
-        self.gens: list[np.ndarray] = []
-        self.transversal: dict[int, np.ndarray] = {
-            point: np.arange(n, dtype=np.int16)}
+class _Level(NamedTuple):
+    """A J-dominant root and its W_J-orbit; each orbit point maps to the
+    simple root whose reflection first reached it (None for the point)."""
+    point: int
+    transversal: dict[int, Optional[int]]
 
 
 class StabChain:
-    """Deterministic Schreier-Sims chain for a permutation group on roots.
+    """The Steinberg chain of the reflection group of a simple system.
 
-    base_hint seeds the base (for Weyl groups: the simple roots, whose
-    pointwise stabilizer is trivial); extra base points are appended
-    automatically if a residue still moves something.  The orbit at level i
-    is taken under the generators of levels >= i: those are exactly the
-    known generators fixing the first i base points.
+    Steinberg's fixed-point theorem (Steinberg, Trans. AMS 112, 1964;
+    Humphreys, Reflection Groups and Coxeter Groups, 1.12): the stabilizer
+    in W_J of a point of the closed J-chamber is the parabolic subgroup
+    generated by the s_j, j in J, that fix it.  So starting from J = the
+    given simple roots, each level moves a root of J into the closed
+    J-chamber, records its W_J-orbit under the simple reflections of J, and
+    keeps the j in J orthogonal to it.  Every generator is known up front;
+    |W_J| is the product of the orbit sizes.
+
+    Raises ValueError if the roots are not a simple system: two of them at
+    an acute angle, or a descent that never reaches a J-dominant root.
     """
 
-    def __init__(self, generators: Sequence[np.ndarray], n: int,
-                 base_hint: Sequence[int] = ()):
-        self.n = n
+    def __init__(self, rs: RootSystem, simple_roots: Sequence[int]):
+        self.home = rs
         self.levels: list[_Level] = []
-        self._base_hint = list(base_hint)
-        self._identity = np.arange(n, dtype=np.int16)
-        for gen in generators:
-            gen = np.asarray(gen, dtype=np.int16)
-            if not np.array_equal(gen, self._identity):
-                self._place(gen)
-        self._complete()
+        coords = rs._icoord_mat
+        J = [int(j) for j in simple_roots]
+        refl = {j: rs.reflection_perm(j) for j in J}
+        gram = coords[J] @ coords[J].T
+        if np.any(np.triu(gram, 1) > 0):
+            raise ValueError("generators meet at an acute angle; "
+                             "not a simple system")
+        while J:
+            d = J[0]
+            for _ in range(len(rs.roots) + 1):
+                below = np.flatnonzero(coords[J] @ coords[d] < 0)
+                if not below.size:
+                    break
+                d = int(refl[J[below[0]]][d])
+            else:
+                raise ValueError("descent reaches no dominant root; "
+                                 "not a simple system")
+            orbit: dict[int, Optional[int]] = {d: None}
+            frontier = [d]
+            while frontier:
+                nxt = []
+                for p in frontier:
+                    for j in J:
+                        q = int(refl[j][p])
+                        if q not in orbit:
+                            orbit[q] = j
+                            nxt.append(q)
+                frontier = nxt
+            self.levels.append(_Level(d, orbit))
+            J = [j for j, dot in zip(J, coords[J] @ coords[d]) if dot == 0]
 
     @property
     def base(self) -> list[int]:
         return [lvl.point for lvl in self.levels]
 
     def order(self) -> int:
-        out = 1
-        for lvl in self.levels:
-            out *= len(lvl.transversal)
-        return out
+        return prod(len(lvl.transversal) for lvl in self.levels)
 
     def contains(self, perm: np.ndarray) -> bool:
-        residue = self._sift(0, np.asarray(perm, dtype=np.int16))
-        return residue is None
-
-    # internals
-
-    def _place(self, residue: np.ndarray) -> int:
-        """Attach a non-identity element at the first level it does not fix."""
-        for idx, lvl in enumerate(self.levels):
-            if residue[lvl.point] != lvl.point:
-                lvl.gens.append(residue)
-                return idx
-        for p in self._base_hint:
-            if residue[p] != p:
-                self.levels.append(_Level(p, self.n))
-                break
-        else:
-            moved = int(np.flatnonzero(residue != self._identity)[0])
-            self.levels.append(_Level(moved, self.n))
-        self.levels[-1].gens.append(residue)
-        return len(self.levels) - 1
-
-    def _sift(self, level: int, perm: np.ndarray):
-        """Reduce perm through levels >= level; None means membership."""
-        g = perm
-        for lvl in self.levels[level:]:
-            img = int(g[lvl.point])
-            rep = lvl.transversal.get(img)
-            if rep is None:
-                return g
-            inv = np.empty_like(rep)
-            inv[rep] = self._identity
-            g = inv[g]
-        if np.array_equal(g, self._identity):
-            return None
-        return g
-
-    def _gens_from(self, lvl_idx: int) -> list[np.ndarray]:
-        out = []
-        for lvl in self.levels[lvl_idx:]:
-            out.extend(lvl.gens)
-        return out
-
-    def _complete(self) -> None:
-        """Process levels bottom-up until every Schreier generator sifts."""
-        i = len(self.levels) - 1
-        while i >= 0:
-            landed = self._process(i)
-            i = i - 1 if landed is None else landed
-
-    def _process(self, lvl_idx: int):
-        """Rebuild the orbit at one level and test its Schreier generators.
-
-        Returns the level index where a non-sifting residue was placed, or
-        None if all Schreier generators reduce to the identity.
-        """
-        lvl = self.levels[lvl_idx]
-        gens = self._gens_from(lvl_idx)
-        lvl.transversal = {lvl.point: self._identity}
-        frontier = [lvl.point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                t_p = lvl.transversal[p]
-                for gen in gens:
-                    q = int(gen[p])
-                    if q not in lvl.transversal:
-                        lvl.transversal[q] = gen[t_p]
-                        nxt.append(q)
-            frontier = nxt
-        for p in sorted(lvl.transversal):
-            t_p = lvl.transversal[p]
-            for gen in gens:
-                t_q = lvl.transversal[int(gen[p])]
-                inv = np.empty_like(t_q)
-                inv[t_q] = self._identity
-                schreier = inv[gen[t_p]]
-                residue = self._sift(lvl_idx + 1, schreier)
-                if residue is not None:
-                    return self._place(residue)
-        return None
-
-
-def group_order(rs: RootSystem) -> int:
-    """|W| from a stabilizer chain on the root permutation action."""
-    if rs._order is None:
-        chain = StabChain(rs.simple_reflection_perms(), len(rs.roots),
-                          base_hint=rs.simple_indices)
-        rs._order = chain.order()
-        rs._chain = chain
-    return rs._order
+        """Sift perm down the chain; members reduce to the identity."""
+        rs = self.home
+        g = np.asarray(perm)
+        for lvl in self.levels:
+            p = int(g[lvl.point])
+            if p not in lvl.transversal:
+                return False
+            while p != lvl.point:
+                s = rs.reflection_perm(lvl.transversal[p])
+                g, p = s[g], int(s[p])
+        return bool(np.array_equal(g, _id_images(rs)))
 
 
 def stab_chain(rs: RootSystem) -> StabChain:
-    group_order(rs)
+    """The memoized chain of W over the simple roots of rs."""
+    if rs._chain is None:
+        rs._chain = StabChain(rs, rs.simple_indices)
     return rs._chain
 
 
-def subgroup_order(rs: RootSystem, generator_indices: Sequence[int]) -> int:
-    """Order of the subgroup generated by reflections in the given roots."""
-    gens = [rs.reflection_perm(i) for i in generator_indices]
-    chain = StabChain(gens, len(rs.roots),
-                      base_hint=[rs.positive_index(i) for i in generator_indices])
-    return chain.order()
+def group_order(rs: RootSystem) -> int:
+    """|W| as the product of the orbit sizes along the Steinberg chain."""
+    return stab_chain(rs).order()
+
+
+def subgroup_order(rs: RootSystem, simple_roots: Sequence[int]) -> int:
+    """Order of the subgroup generated by reflections in a simple system."""
+    return StabChain(rs, simple_roots).order()
 
 
 def enumerate_group(rs: RootSystem, limit: int | None = None) -> list[GroupElement]:

@@ -159,6 +159,31 @@ def test_unexpected_error_exits_internal(monkeypatch, capsys):
     assert err.splitlines() == ["internal error: RuntimeError: boom"]
 
 
+def test_gap_reads_classes_from_the_cache(tmp_path, monkeypatch, capsys):
+    from weylinv import involutions, verify
+    code, cold, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "gap", "D6")
+    assert code == 0
+
+    def no_enumeration(rs):
+        raise AssertionError("involutions enumerated despite a warm cache")
+
+    monkeypatch.setattr(involutions, "_involution_masks", no_enumeration)
+    monkeypatch.setattr(verify, "_SYSTEMS", {})
+    code, warm, err = run_cli(capsys, "--cache-dir", str(tmp_path), "gap", "D6")
+    assert (code, err) == (0, "")
+    assert warm == cold
+
+
+def test_order_rejects_oversized_type_before_building(capsys):
+    import time
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "order", "A181")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "32942 roots" in err
+
+
 def test_verify_fast_exits_zero(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path),
                            "verify", "--fast")

@@ -344,3 +344,34 @@ def test_separation_report_flags_hard_pairs(system):
         assert set(report.unseparated) == hard
         second = sw_separation_report(classes, reps)
         assert second == report
+
+
+def _b3_conj_a1_pair(rs):
+    """conj[A1] on the long-root and on the short-root A1s of B3."""
+    from weylinv import SubsystemEmbedding, TypeSpec, conj_subsystem_rep
+    long_root = next(r.index for r in rs.roots if r.norm2 == 2)
+    short_root = next(r.index for r in rs.roots if r.norm2 == 1)
+    return [conj_subsystem_rep(rs, SubsystemEmbedding(rs, TypeSpec.parse("A1"), (i,)))
+            for i in (long_root, short_root)]
+
+
+def test_total_class_memo_is_per_representation(system):
+    from weylinv import Cube
+    rs = system("B3")
+    long_a1, short_a1 = _b3_conj_a1_pair(rs)
+    assert (long_a1.descriptor, long_a1.dim) == ("conj[A1]", 6)
+    assert (short_a1.descriptor, short_a1.dim) == ("conj[A1]", 3)
+    assert long_a1 != short_a1
+    cube = Cube(rs, (0,))
+    t = BasePoly.t_power(1)
+    assert total_class(long_a1, cube) == CubeClassElement(1, {0: 1, 1: t.bits})
+    assert character_multiplicities(short_a1, cube) == [3, 0]
+    assert total_class(short_a1, cube) == CubeClassElement.one(1)
+
+
+def test_expression_rejects_two_reps_with_one_descriptor(system):
+    long_a1, short_a1 = _b3_conj_a1_pair(system("B3"))
+    with pytest.raises(ValueError, match="conj"):
+        sw(long_a1, 1) + sw(short_a1, 1)
+    with pytest.raises(ValueError, match="conj"):
+        sw(long_a1, 1) * sw(short_a1, 1)

@@ -51,6 +51,18 @@ def test_typespec_error_names_offender():
         TypeSpec.parse("A1xE5")
 
 
+@pytest.mark.parametrize("name,roots", [("B128", 32768), ("C128", 32768),
+                                        ("A180", 32580), ("D128", 32512)])
+def test_root_limit_accepts_largest_types(name, roots):
+    assert TypeSpec.parse(name).root_count == roots  # parsed, not built
+
+
+@pytest.mark.parametrize("name", ["A181", "B129", "C129", "D129", "A1xB128"])
+def test_root_limit_rejects_int16_overflow(name):
+    with pytest.raises(ValueError, match="roots"):
+        TypeSpec.parse(name)
+
+
 # -- construction ----------------------------------------------------------------
 
 def test_a1_roots(system):

@@ -1,6 +1,8 @@
 """Group arithmetic, stabilizer chains, orbit machinery."""
 
 import random
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from weylinv import (GroupElement, InternalError, StabChain, compose,
                      element_matrix, enumerate_group, group_order, identity,
                      invert, orbit_partition, order_of, reflection_element,
-                     simple_reflections, stab_chain)
+                     simple_reflections, stab_chain, subgroup_order)
 
 
 def minus_one(rs) -> GroupElement:
@@ -186,7 +188,7 @@ def test_subgroup_chain_with_custom_generators(system):
     rs = system("B3")
     # the parabolic generated by the first two simple reflections is B2-or-A1xA1 sized
     gens = [rs.reflection_perm(i) for i in rs.simple_indices[:2]]
-    chain = StabChain(gens, len(rs.roots), base_hint=rs.simple_indices)
+    chain = StabChain(rs, rs.simple_indices[:2])
     full = {identity(rs).images.tobytes()}
     frontier = [identity(rs)]
     elems = {identity(rs).images.tobytes(): identity(rs)}
@@ -200,6 +202,61 @@ def test_subgroup_chain_with_custom_generators(system):
                     new.append(h)
         frontier = new
     assert chain.order() == len(elems)
+
+
+def _closed_form_order(fam: str, n: int) -> int:
+    if fam == "A":
+        return factorial(n + 1)
+    if fam in "BC":
+        return 2 ** n * factorial(n)
+    if fam == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {"E6": 51840, "E7": 2903040, "E8": 696729600,
+            "F4": 1152, "G2": 12}[f"{fam}{n}"]
+
+
+CLOSED_FORM_TYPES = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
+    + [f"C{n}" for n in range(3, 13)] + [f"D{n}" for n in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2", "A1xD6", "A1xA2", "B2xG2"])
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_TYPES)
+def test_group_order_matches_closed_form(system, name):
+    rs = system(name)
+    want = 1
+    for fam, n in rs.type_spec.factors:
+        want *= _closed_form_order(fam, n)
+    assert group_order(rs) == want
+
+
+def test_subgroup_order_rejects_acute_generators(system):
+    rs = system("B2")
+    e1 = rs.index_of((Fraction(1), Fraction(0)))
+    e1_plus_e2 = rs.index_of((Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError):
+        subgroup_order(rs, [e1, e1_plus_e2])
+
+
+def test_subgroup_order_rejects_non_simple_obtuse_set(system):
+    rs = system("A2")
+    alpha, beta = rs.simple_indices
+    highest = rs.index_of(tuple(a + b for a, b in zip(rs.roots[alpha].coords,
+                                                      rs.roots[beta].coords)))
+    with pytest.raises(ValueError):
+        subgroup_order(rs, [alpha, beta, rs.negative_index(highest)])
+
+
+def test_chain_contains_random_words_in_e6(system):
+    rs = system("E6")
+    chain = stab_chain(rs)
+    rng = random.Random(6)
+    gens = simple_reflections(rs)
+    for _ in range(200):
+        w = identity(rs)
+        for _ in range(rng.randrange(1, 40)):
+            w = compose(w, rng.choice(gens))
+        assert chain.contains(w.images)
 
 
 # -- orbit partition -----------------------------------------------------------------
