@@ -19,11 +19,11 @@ from .involutions import (CacheError, Cube, CubeClass, Involution,
                           split_involution, verify_reduction)
 from .invariants import (BasePoly, BasisDescription, CubeClassElement,
                          InvariantExpr, InvariantVector, SeparationReport,
-                         canonical_basis, character_multiplicities, cube_mul,
+                         canonical_basis, character_multiplicities,
                          expand, pairing, restrict_to_cube, sw,
                          sw_separation_report, top_coefficient, total_class)
 from .reps import (GapBudget, GapFindings, Representation, base_catalogue,
-                   character, character_gap, conj_subsystem_rep, coxeter_rep,
+                   character_gap, conj_subsystem_rep, coxeter_rep,
                    default_catalogue, direct_sum, exterior_cox_rep,
                    half_subset_split_reps, perm_roots_rep, search_gap,
                    sign_rep, tensor, trivial_rep)

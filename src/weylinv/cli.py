@@ -116,18 +116,23 @@ def _emit_json(data) -> None:
 
 _TOKEN_RE = re.compile(r"\s*(sw|t|\d+|[A-Za-z][A-Za-z0-9]*|[()+*^,])")
 
+MAX_EXPONENT = 64  # `^N` multiplies N times, so larger N is refused
 
-def _catalogue_aliases(rs, budget: GapBudget) -> dict:
+
+def _catalogue_aliases(catalogue) -> dict:
     aliases = {}
-    for rep in default_catalogue(rs, budget):
+    for rep in catalogue:
         alias = re.sub(r"[^A-Za-z0-9]", "", rep.descriptor
                        .replace("+", "plus").replace("-", "minus"))
         aliases.setdefault(alias, rep)
     return aliases
 
 
-def parse_expression(text: str, rs, budget: GapBudget) -> InvariantExpr:
-    """Parse sums/products of t-powers and sw(<rep>, k) factors."""
+def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
+    """Parse sums/products of t-powers and sw(<rep>, k) factors.
+
+    `aliases` maps the names usable in sw(...) to representations.
+    """
     tokens = []
     pos = 0
     while pos < len(text):
@@ -137,7 +142,6 @@ def parse_expression(text: str, rs, budget: GapBudget) -> InvariantExpr:
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append("$")
-    aliases = _catalogue_aliases(rs, budget)
     idx = 0
 
     def peek():
@@ -170,6 +174,9 @@ def parse_expression(text: str, rs, budget: GapBudget) -> InvariantExpr:
         while peek() == "^":
             take("^")
             exponent = int(take())
+            if exponent > MAX_EXPONENT:
+                raise ValueError(
+                    f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}")
             out = InvariantExpr.one(rs)
             for _ in range(exponent):
                 out = out * base
@@ -286,11 +293,12 @@ def cmd_pair(args) -> int:
     budget = GapBudget(max_exterior=args.budget)
     from .reps import coxeter_rep
     cox = coxeter_rep(rs)
+    base_reps, _ = base_catalogue(rs, budget)
+    aliases = _catalogue_aliases(default_catalogue(rs, budget, base_reps))
     exprs = [(f"sw(cox,{i})", sw(cox, i)) for i in range(rs.rank + 1)]
     for text in args.expr:
-        exprs.append((text, parse_expression(text, rs, budget)))
+        exprs.append((text, parse_expression(text, rs, aliases)))
     vectors = [(label, expand(e, classes)) for label, e in exprs]
-    base_reps, _ = base_catalogue(rs, budget)
     separation = sw_separation_report(classes, base_reps)
     if args.json:
         _emit_json({

@@ -194,10 +194,6 @@ class CubeClassElement:
         return f"CubeClassElement(rank {self.rank}: {self})"
 
 
-def cube_mul(a: CubeClassElement, b: CubeClassElement) -> CubeClassElement:
-    return a * b
-
-
 def top_coefficient(a: CubeClassElement) -> BasePoly:
     """Coefficient of the full-subset basis element."""
     return a.coefficient((1 << a.rank) - 1)

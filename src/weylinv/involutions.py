@@ -18,6 +18,11 @@ outside the set raise InternalError instead of merging two orbits.  Orbits are
 labelled by min-label propagation along the simple reflections with pointer
 jumping.  Cube labels are computed once per root system and serve both the
 cube classes and the coverage check of a reduction.
+
+Involutions are never walked one by one.  Each degree layer is the orbit of
+its class candidates: every class representative of the degree below times
+the reflection in each positive root orthogonal to its eigenspace.  The
+minimal rows of the layer's orbits are the next representatives.
 """
 
 from __future__ import annotations
@@ -360,44 +365,6 @@ class InvolutionClass:
         return f"InvolutionClass({self.class_id}, size {self.size})"
 
 
-def _involution_masks(rs: RootSystem) -> dict[int, list[int]]:
-    """All involutions, keyed by eigenroot bitmask, grouped by degree.
-
-    Breadth-first over degrees: a degree-(k+1) involution is a degree-k one
-    times a reflection orthogonal to its eigenspace, and extending only past
-    the highest eigenroot bit still reaches everything (drop the top root of
-    any splitting of the eigenspace and you get a valid parent).  Parents
-    carry their permutations only while their level is the frontier, so
-    memory stays proportional to the largest degree layer.
-    """
-    P = rs.n_positive
-    full = (1 << P) - 1
-    refl = [rs.reflection_perm(i) for i in range(P)]
-    ident = identity(rs).images
-
-    by_degree: dict[int, list[int]] = {0: [0]}
-    frontier: dict[int, tuple[np.ndarray, int]] = {0: (ident, full)}
-    degree = 0
-    while frontier:
-        nxt: dict[int, tuple[np.ndarray, int]] = {}
-        for mask in sorted(frontier):
-            images, cand = frontier[mask]
-            allowed = cand & -(1 << mask.bit_length()) if mask else cand
-            while allowed:
-                low = allowed & -allowed
-                b = low.bit_length() - 1
-                allowed ^= low
-                child = images[refl[b]]
-                cmask = mask_of_perm(child, rs)
-                if cmask not in nxt:
-                    nxt[cmask] = (child, cand & rs.orth_masks[b])
-        degree += 1
-        if nxt:
-            by_degree[degree] = sorted(nxt)
-        frontier = nxt
-    return by_degree
-
-
 def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
     """Conjugacy classes of involutions, sorted by (degree, size, minimal key).
 
@@ -407,32 +374,38 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
     if cached is not None:
         return cached
 
-    by_degree = _involution_masks(rs)
     engine = MaskEngine(rs)
-    raw: list[tuple[int, int, int]] = []  # (degree, size, min mask)
-    total = 0
-    for degree, masks in sorted(by_degree.items()):
-        total += len(masks)
-        layer = MaskSet(engine, engine.rows(masks))
-        labels, sizes = np.unique(layer.orbit_labels(), return_counts=True)
-        raw.extend((degree, int(size), engine.mask(layer.rows[label]))
-                   for label, size in zip(labels, sizes))
-    if sum(size for _, size, _ in raw) != total:
-        raise InternalError("class sizes do not add up to the involution count")
-
-    raw.sort(key=lambda t: (t[0], t[1], t[2]))
-    classes = []
-    per_degree_counter: dict[int, int] = {}
-    for degree, size, min_mask in raw:
-        ordinal = per_degree_counter.get(degree, 0)
-        per_degree_counter[degree] = ordinal + 1
-        cube = Cube(rs, _greedy_roots(rs, min_mask))
-        inv = involution_from_cube(cube)
-        if inv.degree != degree or inv.mask != min_mask:
-            raise InternalError("class representative does not match its key")
-        classes.append(InvolutionClass(
-            representative=inv, degree=degree, size=size, splitting=cube,
-            class_id=f"d{degree}.{ordinal}"))
+    full = (1 << rs.n_positive) - 1
+    classes: list[InvolutionClass] = []
+    layer = engine.rows([0])
+    degree = 0
+    while True:
+        found = MaskSet(engine, layer)
+        labels, sizes = np.unique(found.orbit_labels(), return_counts=True)
+        keyed = sorted((int(size), engine.mask(found.rows[label]))
+                       for label, size in zip(labels, sizes))
+        candidates = []
+        for ordinal, (size, mask) in enumerate(keyed):
+            cube = Cube(rs, _greedy_roots(rs, mask))
+            inv = involution_from_cube(cube)
+            if inv.degree != degree or inv.mask != mask:
+                raise InternalError("class representative does not match its key")
+            classes.append(InvolutionClass(
+                representative=inv, degree=degree, size=size, splitting=cube,
+                class_id=f"d{degree}.{ordinal}"))
+            # A degree-(k+1) involution is a degree-k one times the reflection
+            # in a root orthogonal to its eigenspace.  Conjugating the degree-k
+            # factor to its class representative keeps that form, so these
+            # products meet every class of the next layer, which is their orbit.
+            orth = full
+            for root in cube.roots:
+                orth &= rs.orth_masks[root]
+            candidates += [mask_of_perm(inv.element.images[rs.reflection_perm(b)], rs)
+                           for b in _mask_bits(orth)]
+        if not candidates:
+            break
+        layer = engine.orbit(engine.rows(candidates))
+        degree += 1
     rs._involution_classes = classes
     return classes
 

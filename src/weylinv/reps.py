@@ -51,11 +51,6 @@ class Representation:
         return tensor(self, other)
 
 
-def character(rep: Representation, g: GroupElement) -> int:
-    """Exact trace of g in the representation."""
-    return rep.trace(g)
-
-
 def trivial_rep(rs: RootSystem, dim: int = 1) -> Representation:
     return Representation(f"triv{dim}", dim, rs, lambda g: dim)
 

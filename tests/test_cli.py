@@ -117,6 +117,39 @@ def test_pair_rejects_bad_expression(tmp_path, capsys):
     assert "unknown representation" in err
 
 
+def test_pair_builds_the_catalogue_once(tmp_path, monkeypatch, capsys):
+    from weylinv import cli, reps
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    build = reps.base_catalogue
+    monkeypatch.setattr(reps, "base_catalogue", counted)
+    monkeypatch.setattr(cli, "base_catalogue", counted)
+    code, _, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "pair", "D4",
+                         "--expr", "sw(cox,1)", "--expr", "sw(cox,2)")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_pair_rejects_huge_exponent(tmp_path, capsys):
+    import time
+    from weylinv.cli import MAX_EXPONENT
+    assert MAX_EXPONENT >= 64
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path),
+                             "pair", "A1", "--expr", "t^100000000")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exponent" in err
+    code, _, _ = run_cli(capsys, "--cache-dir", str(tmp_path),
+                         "pair", "A1", "--expr", f"t^{MAX_EXPONENT}")
+    assert code == 0
+
+
 def test_gap_d4_json(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
                            "gap", "D4")
@@ -160,14 +193,14 @@ def test_unexpected_error_exits_internal(monkeypatch, capsys):
 
 
 def test_gap_reads_classes_from_the_cache(tmp_path, monkeypatch, capsys):
-    from weylinv import involutions, verify
+    from weylinv import cli, verify
     code, cold, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "gap", "D6")
     assert code == 0
 
-    def no_enumeration(rs):
-        raise AssertionError("involutions enumerated despite a warm cache")
+    def no_classification(rs):
+        raise AssertionError("involutions classified despite a warm cache")
 
-    monkeypatch.setattr(involutions, "_involution_masks", no_enumeration)
+    monkeypatch.setattr(cli, "classify_involutions", no_classification)
     monkeypatch.setattr(verify, "_SYSTEMS", {})
     code, warm, err = run_cli(capsys, "--cache-dir", str(tmp_path), "gap", "D6")
     assert (code, err) == (0, "")

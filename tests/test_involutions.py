@@ -36,6 +36,10 @@ def census_oracle(rs):
     return sorted(out)
 
 
+RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+             "D3", "D4", "F4", "G2"]
+
+
 # -- cubes -------------------------------------------------------------------
 
 def test_a1_cubes(system):
@@ -158,6 +162,25 @@ def test_e6_e7_degree_lists(system):
         [0, 1, 2, 3, 3, 4, 4, 5, 6, 7]
 
 
+# (degree, size) of each class in class order, as recorded in
+# bench/reference.json, and the involution totals
+EXCEPTIONAL_TABLES = {
+    "E6": ([(0, 1), (1, 36), (2, 270), (3, 540), (4, 45)], 892),
+    "E7": ([(0, 1), (1, 63), (2, 945), (3, 315), (3, 3780), (4, 315),
+            (4, 3780), (5, 945), (6, 63), (7, 1)], 10208),
+    "E8": ([(0, 1), (1, 120), (2, 3780), (3, 37800), (4, 3150), (4, 113400),
+            (5, 37800), (6, 3780), (7, 120), (8, 1)], 199952),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_TABLES))
+def test_exceptional_class_tables(name):
+    rs = get_system(name)  # shared with the acceptance battery
+    table, total = EXCEPTIONAL_TABLES[name]
+    assert [(c.degree, c.size) for c in classify_involutions(rs)] == table
+    assert involution_count(rs) == total
+
+
 def test_degree_zero_class_is_identity(system):
     for name in ("A2", "B3", "G2"):
         classes = classify_involutions(system(name))
@@ -167,7 +190,7 @@ def test_degree_zero_class_is_identity(system):
 
 
 def test_class_sizes_sum_to_involution_total(system):
-    for name in ("B3", "F4", "A1xA2"):
+    for name in RANK_LE_4 + ["A1xA2"]:
         rs = system(name)
         brute = sum(1 for g in enumerate_group(rs)
                     if compose(g, g).is_identity())
@@ -284,9 +307,6 @@ def test_cube_class_sizes_sum_to_clique_count(system):
 
 # -- the orbit engine against the pure-Python orbit partition -----------------
 
-RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
-             "D3", "D4", "F4", "G2"]
-
 
 def python_mask_actions(rs):
     """Simple reflections acting on Python-int masks, one bit at a time."""
@@ -304,12 +324,17 @@ def python_mask_actions(rs):
 @pytest.mark.parametrize("name", RANK_LE_4)
 def test_engine_involution_classes_match_orbit_partition(system, name):
     from weylinv import orbit_partition
-    from weylinv.involutions import _involution_masks
+    from weylinv.involutions import mask_of_perm
     rs = system(name)
     actions = python_mask_actions(rs)
+    by_degree = {}
+    for g in enumerate_group(rs):
+        if compose(g, g).is_identity():
+            degree = (rs.rank - coxeter_trace(g)) // 2
+            by_degree.setdefault(degree, []).append(mask_of_perm(g.images, rs))
     oracle = sorted((degree, len(orbit), orbit[0])
-                    for degree, masks in _involution_masks(rs).items()
-                    for orbit in orbit_partition(masks, actions))
+                    for degree, masks in by_degree.items()
+                    for orbit in orbit_partition(sorted(masks), actions))
     assert [(c.degree, c.size, c.representative.mask)
             for c in classify_involutions(rs)] == oracle
 
