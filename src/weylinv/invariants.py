@@ -399,7 +399,9 @@ def restrict_to_cube(expr: InvariantExpr, cube: Cube) -> CubeClassElement:
         term = CubeClassElement.scalar(n, BasePoly(bits))
         for descriptor, i in key:
             rep = expr.reps[descriptor]
-            term = term * total_class(rep, cube).homogeneous_component(i)
+            if (cube, i) not in rep.sw_components:
+                rep.sw_components[cube, i] = total_class(rep, cube).homogeneous_component(i)
+            term = term * rep.sw_components[cube, i]
             if not term:
                 break
         out = out + term

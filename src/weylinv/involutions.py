@@ -6,23 +6,22 @@ bitmask of positive roots the element negates.  Cubes (sets of pairwise
 orthogonal positive roots) are keyed by their bitmask as well.  Conjugation
 acts on both by permuting mask bits.
 
-One orbit engine does every conjugacy computation on such masks.  A mask set
-is held as numpy rows of 64-bit words, most significant word first, sorted
-by integer value, so the first row of an orbit is its minimal mask: the
-class representative.  A permutation of the roots acts through per-byte
-lookup tables (the image of a row is the sum of one table entry per byte),
-and so does a 64-bit key per mask, the wrapping sum of fixed-seed keys of
-its bits.  Generator images are located by searchsorted on the keys and then
-compared with the set's rows exactly, so two masks sharing a key or an image
-outside the set raise InternalError instead of merging two orbits.  Orbits are
-labelled by min-label propagation along the simple reflections with pointer
-jumping.  Cube labels are computed once per root system and serve both the
-cube classes and the coverage check of a reduction.
+One orbit engine does every conjugacy computation on such masks, held as
+numpy rows of 64-bit words, most significant word first.  A permutation of
+the roots acts through per-byte lookup tables (the image of a row is the sum
+of one table entry per byte), and so does a 64-bit key per mask, the wrapping
+sum of fixed-seed keys of its bits; one table per simple reflection yields
+the image rows and their keys.  An orbit is one labelled breadth-first
+search: images are looked up by key in the two neighbouring levels only,
+every key match is compared row by row (so two masks sharing a key raise
+InternalError instead of merging two orbits), and a union-find over the seeds
+labels the orbits.  The minimal row of each label is its representative.
 
-Involutions are never walked one by one.  Each degree layer is the orbit of
-its class candidates: every class representative of the degree below times
-the reflection in each positive root orthogonal to its eigenspace.  The
-minimal rows of the layer's orbits are the next representatives.
+Involutions and cubes are never walked one by one.  Each degree layer of
+involutions is the orbit of every class representative of the degree below
+times the reflection in each positive root orthogonal to its eigenspace;
+each rank of cubes, of every representative of the rank below plus each
+positive root orthogonal to it.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -70,7 +70,8 @@ class MaskEngine:
 
     A row is `nwords` little-endian 64-bit words, most significant first, so
     byte j of a row's byte view holds mask bits base(j) .. base(j) + 7.
-    `generators` holds the byte tables of the simple reflections.
+    `generators` holds the byte tables of the simple reflections, which give
+    the image rows followed by a column of their keys.
     """
 
     def __init__(self, rs: RootSystem):
@@ -84,9 +85,9 @@ class MaskEngine:
         self._valid = (src < P)[:, :, None]
         self._src = np.where(src < P, src, 0)
         self._byte_bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint64)
-        self._unit_rows = self.rows([1 << i for i in range(P)])
-        self._key_tables = self._byte_tables(_bit_keys(P)[:, None])
-        self.generators = [self._byte_tables(self._unit_rows[rs.positive_perm(p)])
+        per_bit = np.hstack([self.rows([1 << i for i in range(P)]), _bit_keys(P)[:, None]])
+        self._key_tables = self._byte_tables(per_bit[:, -1:])
+        self.generators = [self._byte_tables(per_bit[rs.positive_perm(p)])
                            for p in rs.simple_reflection_perms()]
 
     def _byte_tables(self, per_bit: np.ndarray) -> np.ndarray:
@@ -95,8 +96,8 @@ class MaskEngine:
         return (self._byte_bits[None, :, :, None] * vals[:, None]).sum(axis=2)
 
     def apply(self, rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        """Sum of one table entry per byte of each row: the image rows under a
-        permutation's tables, the keys under the key tables."""
+        """Sum of one table entry per byte of each row: the image rows and
+        keys under a generator's tables, the keys under the key tables."""
         view = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
         acc = np.zeros((len(rows), tables.shape[2]), dtype=_WORD)
         for j, table in zip(self._bytes, tables):
@@ -107,12 +108,8 @@ class MaskEngine:
         return self.apply(rows, self._key_tables)[:, 0]
 
     def rows(self, masks: Sequence[int]) -> np.ndarray:
-        out = np.empty((len(masks), self.nwords), dtype=_WORD)
-        for w in range(self.nwords):
-            shift = 64 * (self.nwords - 1 - w)
-            out[:, w] = np.fromiter(((m >> shift) & 0xFFFFFFFFFFFFFFFF for m in masks),
-                                    dtype=np.uint64, count=len(masks))
-        return out
+        data = b"".join(m.to_bytes(8 * self.nwords, "big") for m in masks)
+        return np.frombuffer(data, dtype=">u8").reshape(-1, self.nwords).astype(_WORD)
 
     def mask(self, row: np.ndarray) -> int:
         return int.from_bytes(row.astype(">u8").tobytes(), "big")
@@ -124,62 +121,76 @@ class MaskEngine:
         i = np.arange(self.nbits)
         return bits[:, 64 * (self.nwords - 1 - i // 64) + i % 64].astype(bool)
 
-    def _distinct(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rows and their keys; rows sharing a key must be equal."""
-        keys = self.keys(rows)
-        keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if not np.array_equal(rows[first][inverse], rows):
-            raise InternalError("two masks share a 64-bit key (a key collision)")
-        return rows[first], keys
+    def orbit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every mask in the orbits of the given rows, as (rows, keys, labels)
+        sorted by value; rows share a label exactly when they share an orbit.
+        The generators are involutions, so the images of level d lie in levels
+        d-1, d and d+1: look them up in d-1 and d; the rest, made distinct, is
+        d+1.  A label is the least seed joined to the row's seed where two met."""
+        images = np.hstack([rows, self.keys(rows)[:, None]])
+        seeds = root = np.arange(len(rows))
+        levels: list = []  # (rows, keys, seeds) of each level
+        while len(images):
+            order = np.argsort(images[:, -1])
+            keys, seeds = images[order, -1], seeds[order]
+            for level_rows, level_keys, level_seeds in levels[-2:]:
+                pos = np.minimum(np.searchsorted(level_keys, keys), len(level_keys) - 1)
+                hit = level_keys[pos] == keys
+                _no_collision(np.array_equal(level_rows[pos[hit]], images[order[hit], :-1]))
+                root = _join(root, seeds[hit], level_seeds[pos[hit]])
+                order, keys, seeds = order[~hit], keys[~hit], seeds[~hit]
+            images = images[order, :-1]
+            again = keys[1:] == keys[:-1]
+            _no_collision(np.array_equal(images[1:][again], images[:-1][again]))
+            root = _join(root, seeds[1:][again], seeds[:-1][again])
+            first = np.r_[True, ~again][:len(keys)]
+            levels.append((images[first], keys[first], seeds[first]))
+            images = np.concatenate([self.apply(levels[-1][0], g) for g in self.generators])
+            seeds = np.tile(levels[-1][2], len(self.generators))
+        rows, keys, seeds = (np.concatenate(part) for part in zip(*levels))
+        _no_collision(np.all(np.diff(np.sort(keys)) != 0))  # distinct across levels too
+        order = np.lexsort(rows.T[::-1])
+        return rows[order], keys[order], root[seeds[order]]
 
-    def orbit(self, rows: np.ndarray) -> np.ndarray:
-        """Every mask in the orbits of the given rows, sorted by integer value."""
-        rows, keys = self._distinct(rows)
-        frontier = rows
-        while len(frontier):
-            grown, grown_keys = self._distinct(np.concatenate(
-                [rows] + [self.apply(frontier, g) for g in self.generators]))
-            frontier = grown[~np.isin(grown_keys, keys, assume_unique=True)]
-            rows, keys = grown, grown_keys
-        return rows[np.lexsort(rows.T[::-1])]
+
+def _no_collision(ok: bool) -> None:
+    if not ok:
+        raise InternalError("two masks share a 64-bit key (a key collision)")
+
+
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join seeds a[i] and b[i]; root maps each seed to the least seed joined to it."""
+    a, b, n = root[a], root[b], len(root)
+    root = root.copy()
+    for pair in set((a * n + b)[a != b].tolist()):
+        low, high = sorted((root[pair // n], root[pair % n]))
+        root[root == high] = low
+    return root
+
+
+def _orbit_classes(engine: MaskEngine, rows: np.ndarray, labels: np.ndarray) -> list:
+    """(size, minimal mask, label) of each orbit, sorted, from an orbit's output."""
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    return sorted((int(n), engine.mask(rows[i]), int(labels[i])) for i, n in zip(first, sizes))
 
 
 class MaskSet:
-    """Distinct masks as rows sorted by integer value, with exact lookup."""
+    """Distinct masks with exact lookup of their positions."""
 
-    def __init__(self, engine: MaskEngine, rows: np.ndarray):
+    def __init__(self, engine: MaskEngine, rows: np.ndarray, keys: np.ndarray | None = None):
         self.engine = engine
-        rows, self._keys = engine._distinct(rows)
-        order = np.lexsort(rows.T[::-1])
-        self.rows = rows[order]
-        self._by_key = np.argsort(order)  # key position -> row position
+        self.rows = rows
+        self._keys = engine.keys(rows) if keys is None else keys
+        self._by_key = np.argsort(self._keys)
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Positions of the given rows in the set; a missing row is an error."""
-        keys = self.engine.keys(rows)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        idx = self._by_key[pos]
-        if not (np.array_equal(self._keys[pos], keys)
-                and np.array_equal(self.rows[idx], rows)):
+        pos = np.searchsorted(self._keys, self.engine.keys(rows), sorter=self._by_key)
+        idx = self._by_key[np.minimum(pos, len(self._keys) - 1)]
+        if not np.array_equal(self.rows[idx], rows):
             raise InternalError(
                 "orbit action left the mask set; enumeration is incomplete")
         return idx
-
-    def orbit_labels(self) -> np.ndarray:
-        """Position of the minimal mask of each row's orbit."""
-        images = [self.find(self.engine.apply(self.rows, g))
-                  for g in self.engine.generators]
-        labels = np.arange(len(self.rows))
-        while True:
-            new = labels
-            for img in images:
-                new = np.minimum(new, new[img])
-            jumped = new[new]
-            while not np.array_equal(jumped, new):
-                new, jumped = jumped, jumped[jumped]
-            if np.array_equal(new, labels):
-                return labels
-            labels = new
 
 
 # -- cubes ------------------------------------------------------------------
@@ -375,17 +386,13 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
         return cached
 
     engine = MaskEngine(rs)
-    full = (1 << rs.n_positive) - 1
     classes: list[InvolutionClass] = []
-    layer = engine.rows([0])
+    candidates = [0]
     degree = 0
-    while True:
-        found = MaskSet(engine, layer)
-        labels, sizes = np.unique(found.orbit_labels(), return_counts=True)
-        keyed = sorted((int(size), engine.mask(found.rows[label]))
-                       for label, size in zip(labels, sizes))
+    while candidates:
+        rows, _, labels = engine.orbit(engine.rows(candidates))
         candidates = []
-        for ordinal, (size, mask) in enumerate(keyed):
+        for ordinal, (size, mask, _) in enumerate(_orbit_classes(engine, rows, labels)):
             cube = Cube(rs, _greedy_roots(rs, mask))
             inv = involution_from_cube(cube)
             if inv.degree != degree or inv.mask != mask:
@@ -397,14 +404,8 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
             # in a root orthogonal to its eigenspace.  Conjugating the degree-k
             # factor to its class representative keeps that form, so these
             # products meet every class of the next layer, which is their orbit.
-            orth = full
-            for root in cube.roots:
-                orth &= rs.orth_masks[root]
             candidates += [mask_of_perm(inv.element.images[rs.reflection_perm(b)], rs)
-                           for b in _mask_bits(orth)]
-        if not candidates:
-            break
-        layer = engine.orbit(engine.rows(candidates))
+                           for b in _mask_bits(_orthogonal_to(rs, cube.roots))]
         degree += 1
     rs._involution_classes = classes
     return classes
@@ -429,19 +430,32 @@ class CubeClass:
         return f"CubeClass(rank {self.rank}, size {self.size})"
 
 
-def _cube_orbits(rs: RootSystem) -> tuple[MaskSet, np.ndarray, list]:
-    """Every clique, the orbit label of each, and (rank, size, min mask, label)
-    of each class in class order.  Computed once per root system."""
+def _orthogonal_to(rs: RootSystem, roots: Sequence[int]) -> int:
+    """Mask of the positive roots orthogonal to every given root."""
+    return reduce(int.__and__, (rs.orth_masks[r] for r in roots), (1 << rs.n_positive) - 1)
+
+
+def _cube_orbits(rs: RootSystem) -> tuple[MaskEngine, list, list]:
+    """The engine, each rank's cubes with their orbit labels, and (rank, size,
+    min mask, label) of each class in class order.  Computed once per system.
+
+    Rank k+1 is the orbit of each rank-k class representative plus each
+    positive root orthogonal to it: conjugating a rank-k part of a cube to its
+    representative sends the extra root to plus or minus such a root."""
     cached = getattr(rs, "_cube_orbits", None)
     if cached is None:
         engine = MaskEngine(rs)
-        cliques = MaskSet(engine, engine.rows(list(_clique_masks(rs))))
-        labels = cliques.orbit_labels()
-        reps, sizes = np.unique(labels, return_counts=True)
-        masks = [engine.mask(cliques.rows[label]) for label in reps]
-        classes = sorted((mask.bit_count(), int(size), mask, int(label))
-                         for mask, size, label in zip(masks, sizes, reps))
-        cached = rs._cube_orbits = (cliques, labels, classes)
+        layers, classes, candidates, seeds = [], [], [0], 0
+        while candidates:
+            rows, keys, labels = engine.orbit(engine.rows(candidates))
+            labels += seeds  # unique across ranks
+            seeds += len(candidates)
+            layers.append((MaskSet(engine, rows, keys), labels))
+            found = _orbit_classes(engine, rows, labels)
+            classes += [(mask.bit_count(), size, mask, label) for size, mask, label in found]
+            candidates = [mask | 1 << b for _, mask, _ in found
+                          for b in _mask_bits(_orthogonal_to(rs, _mask_bits(mask)))]
+        cached = rs._cube_orbits = (engine, layers, classes)
     return cached
 
 
@@ -493,9 +507,11 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
     if total % sub_order:
         raise InternalError("subgroup order does not divide the group order")
     index = total // sub_order
-    cliques, labels, classes = _cube_orbits(rs)
-    inside = cliques.engine.rows(list(_clique_masks(rs, sub.positive_closure_mask())))
-    hit = set(labels[cliques.find(inside)].tolist())
+    engine, layers, classes = _cube_orbits(rs)
+    masks = list(_clique_masks(rs, sub.positive_closure_mask()))
+    inside, ranks = engine.rows(masks), np.array([mask.bit_count() for mask in masks])
+    hit = {label for rank, (cubes, labels) in enumerate(layers)
+           for label in labels[cubes.find(inside[ranks == rank])].tolist()}
     rows = tuple((rank, size, label in hit) for rank, size, _, label in classes)
     all_covered = all(covered for _, _, covered in rows)
     odd = index % 2 == 1

@@ -26,7 +26,7 @@ class Representation:
     Equality is identity: two representations may share a descriptor.
     """
 
-    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "total_classes")
+    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "total_classes", "sw_components")
 
     def __init__(self, descriptor: str, dim: int, home: RootSystem,
                  trace_fn: Callable[[GroupElement], int]):
@@ -35,6 +35,7 @@ class Representation:
         self.home = home
         self._trace_fn = trace_fn
         self.total_classes: dict = {}  # Cube -> memo of invariants.total_class
+        self.sw_components: dict = {}  # (Cube, i) -> degree-i part of that total class
 
     def trace(self, g: GroupElement) -> int:
         if g.home is not self.home:
@@ -88,7 +89,7 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
             raise ValueError(f"{rs.type_spec} has no subsystem of type {sub}")
         sub = emb
     engine = MaskEngine(rs)
-    orbit = engine.bit_matrix(engine.orbit(engine.rows([sub.positive_closure_mask()])))
+    orbit = engine.bit_matrix(engine.orbit(engine.rows([sub.positive_closure_mask()]))[0])
     P = rs.n_positive
 
     def tr(g: GroupElement) -> int:

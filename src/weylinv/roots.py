@@ -258,6 +258,9 @@ class RootSystem:
 
         self._icoord_mat = np.array([r.icoords for r in self.roots],
                                     dtype=np.int64)
+        # each root's coordinates as one opaque value, sortable for exact lookup
+        self._root_bytes = self._icoord_mat.view(f"V{8 * self.ambient_dim}")[:, 0]
+        self._by_bytes = np.argsort(self._root_bytes)
         pos = self._icoord_mat[:P]
         dots = pos @ pos.T  # 4x the true inner products
         self._pos_dots4 = dots
@@ -334,9 +337,11 @@ class RootSystem:
             if np.any(num % norm):
                 raise InternalError("non-integral reflection coefficient")
             images = self._icoord_mat - np.outer(num // norm, alpha)
-            perm = np.empty(len(self.roots), dtype=np.int16)
-            for k in range(len(self.roots)):
-                perm[k] = self._index_of[tuple(int(v) for v in images[k])]
+            pos = np.searchsorted(self._root_bytes, images.view(self._root_bytes.dtype)[:, 0],
+                                  sorter=self._by_bytes)
+            perm = self._by_bytes[np.minimum(pos, len(pos) - 1)].astype(np.int16)
+            if not np.array_equal(self._icoord_mat[perm], images):
+                raise InternalError("a reflection maps a root outside the root system")
             perm.setflags(write=False)
             self._refl_cache[i] = perm
         return perm

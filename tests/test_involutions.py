@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylinv import (CacheError, Cube, Involution, atlas_from_json_dict,
@@ -179,6 +180,26 @@ def test_exceptional_class_tables(name):
     table, total = EXCEPTIONAL_TABLES[name]
     assert [(c.degree, c.size) for c in classify_involutions(rs)] == table
     assert involution_count(rs) == total
+
+
+# (rank, size) of each cube class in class order, with sizes as recorded in
+# bench/reference.json, and the cube totals
+EXCEPTIONAL_CUBE_TABLES = {
+    "E6": ([(0, 1), (1, 36), (2, 270), (3, 540), (4, 135)], 982),
+    "E7": ([(0, 1), (1, 63), (2, 945), (3, 315), (3, 3780), (4, 945),
+            (4, 3780), (5, 2835), (6, 945), (7, 135)], 13744),
+    "E8": ([(0, 1), (1, 120), (2, 3780), (3, 37800), (4, 9450), (4, 113400),
+            (5, 113400), (6, 56700), (7, 16200), (8, 2025)], 352876),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_CUBE_TABLES))
+def test_exceptional_cube_tables(name):
+    rs = get_system(name)  # shared with the acceptance battery
+    table, total = EXCEPTIONAL_CUBE_TABLES[name]
+    classes = classify_cubes(rs)
+    assert [(c.rank, c.size) for c in classes] == table
+    assert sum(c.size for c in classes) == total
 
 
 def test_degree_zero_class_is_identity(system):
@@ -362,8 +383,33 @@ def test_engine_packing_across_words():
     assert engine.bit_matrix(rows).tolist() == \
         [[bool(m >> i & 1) for i in range(rs.n_positive)] for m in masks]
     for tables, act in zip(engine.generators, python_mask_actions(rs)):
-        assert [engine.mask(row) for row in engine.apply(rows, tables)] == \
-            [act(m) for m in masks]
+        images = engine.apply(rows, tables)
+        assert [engine.mask(row) for row in images[:, :-1]] == [act(m) for m in masks]
+        assert images[:, -1].tolist() == engine.keys(images[:, :-1]).tolist()
+
+
+@pytest.mark.parametrize("name", ["B3", "E6"])
+def test_engine_orbit_labels_match_orbit_partition(name):
+    from weylinv import orbit_partition
+    from weylinv.involutions import MaskEngine, MaskSet
+    rs = build_root_system(name)
+    oracle = orbit_partition([c.mask for c in enumerate_cubes(rs)],
+                             python_mask_actions(rs))
+    rng = random.Random(5)
+    seeds = [(i, mask) for i, orbit in enumerate(oracle)
+             for mask in rng.sample(orbit, min(3, len(orbit)))]
+    rng.shuffle(seeds)
+    engine = MaskEngine(rs)
+    rows, keys, labels = engine.orbit(engine.rows([mask for _, mask in seeds]))
+    assert sorted(engine.mask(row) for row in rows) == \
+        sorted(mask for orbit in oracle for mask in orbit)
+    found = MaskSet(engine, rows, keys).find(engine.rows([mask for _, mask in seeds]))
+    label_of = {}
+    for (orbit, _), label in zip(seeds, labels[found].tolist()):
+        assert label_of.setdefault(orbit, label) == label  # one label per orbit
+    assert len(set(label_of.values())) == len(oracle)  # distinct across orbits
+    sizes = {label: int(n) for label, n in zip(*np.unique(labels, return_counts=True))}
+    assert all(sizes[label_of[i]] == len(orbit) for i, orbit in enumerate(oracle))
 
 
 def test_engine_rejects_image_outside_the_set():
@@ -372,8 +418,10 @@ def test_engine_rejects_image_outside_the_set():
     rs = build_root_system("A2")
     engine = MaskEngine(rs)
     reflections = MaskSet(engine, engine.rows([0b001, 0b010]))  # 0b100 missing
+    images = [engine.apply(reflections.rows, g)[:, :-1] for g in engine.generators]
     with pytest.raises(InternalError, match="left the mask set"):
-        reflections.orbit_labels()
+        for rows in images:
+            reflections.find(rows)
 
 
 def test_engine_rejects_key_collision(monkeypatch):
@@ -389,9 +437,27 @@ def test_engine_rejects_key_collision(monkeypatch):
     with pytest.raises(InternalError, match="share a 64-bit key"):
         conj_subsystem_rep(rs, "A1")
     engine = MaskEngine(rs)
-    single = MaskSet(engine, engine.rows([0b001]))  # image 0b010 has the same key
+    single = MaskSet(engine, engine.rows([0b001]))  # 0b010 has the same key
     with pytest.raises(InternalError, match="left the mask set"):
-        single.orbit_labels()
+        single.find(engine.rows([0b010]))
+
+
+def test_engine_rejects_key_collision_across_levels(monkeypatch):
+    from weylinv import InternalError
+    from weylinv import involutions
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("A4")
+    level, seen = {0b1}, {0b1}
+    for _ in range(3):  # the roots three reflections away from root 0
+        level = {act(m) for m in level for act in python_mask_actions(rs)} - seen
+        seen |= level
+    far = min(level).bit_length() - 1
+    keys = involutions._bit_keys(rs.n_positive)
+    keys[far] = keys[0]  # levels 0 and 3 share a key; no lookup compares them
+    monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
+    engine = MaskEngine(rs)
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        engine.orbit(engine.rows([0b1]))
 
 
 @pytest.mark.parametrize("amb,sub", [(amb, sub) for amb, sub, _ in REDUCTION_PAIRS])

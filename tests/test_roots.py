@@ -255,3 +255,21 @@ def test_root_system_json_schema(system):
     # half-integer coordinates survive the round trip for E8
     e8 = system("E8").to_json_dict()
     assert any("/" in v for row in e8["roots"] for v in row)
+
+
+REFLECTION_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
+                    + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", REFLECTION_TYPES)
+def test_reflection_perm_maps_each_root_to_its_mirror_image(system, name):
+    rs = system(name)
+    coords = [r.icoords for r in rs.roots]  # integer arithmetic, no library reuse
+    for i, alpha in enumerate(coords):
+        norm = sum(a * a for a in alpha)
+        perm = rs.reflection_perm(i)
+        for k, v in enumerate(coords):
+            c = 2 * sum(x * a for x, a in zip(v, alpha))
+            assert c % norm == 0
+            assert rs.roots[perm[k]].icoords == \
+                tuple(x - c // norm * a for x, a in zip(v, alpha))
