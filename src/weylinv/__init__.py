@@ -11,12 +11,11 @@ from .weyl import (GroupElement, StabChain, compose, coxeter_trace,
                    element_matrix, enumerate_group, group_order, identity,
                    invert, orbit_partition, order_of, reflection_element,
                    simple_reflections, stab_chain, subgroup_order)
-from .involutions import (CacheError, Cube, CubeClass, Involution,
-                          InvolutionClass, ReductionReport, atlas_from_json_dict,
-                          atlas_json_bytes, atlas_json_dict, classify_cubes,
-                          classify_involutions, enumerate_cubes,
-                          involution_count, involution_from_cube,
-                          split_involution, verify_reduction)
+from .involutions import (Cube, CubeClass, Involution, InvolutionClass,
+                          ReductionReport, classify_cubes, classify_involutions,
+                          enumerate_cubes, involution_count,
+                          involution_from_cube, split_involution,
+                          verify_reduction)
 from .invariants import (BasePoly, BasisDescription, CubeClassElement,
                          InvariantExpr, InvariantVector, SeparationReport,
                          canonical_basis, character_multiplicities,

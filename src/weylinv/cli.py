@@ -1,4 +1,4 @@
-"""Command-line front end: compute, cache, display and verify everything.
+"""Command-line front end: compute, display and verify everything.
 
 Output is deterministic (fixed ordering, no timestamps); identical
 invocations produce byte-identical output.  Exit codes: 0 success,
@@ -10,16 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
-from pathlib import Path
 
 from .roots import InternalError, build_root_system, find_subsystem
 from .weyl import group_order
-from .involutions import (CacheError, atlas_from_json_dict, atlas_json_bytes,
-                          classify_cubes, classify_involutions,
-                          verify_reduction)
+from .involutions import classify_cubes, classify_involutions, verify_reduction
 from .invariants import (InvariantExpr, canonical_basis, expand, sw,
                          sw_separation_report)
 from .reps import GapBudget, base_catalogue, default_catalogue
@@ -39,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Involution classes and mod-2 invariant bases of Weyl groups")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--csv", action="store_true", help="emit CSV tables")
-    parser.add_argument("--cache-dir", default=None,
-                        help="atlas cache directory (default $WEYL_CACHE or ./.weylcache)")
     parser.add_argument("--budget", type=int, default=4,
                         help="maximum exterior power in the gap-search catalogue")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,34 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify")
     tier = v.add_mutually_exclusive_group()
     tier.add_argument("--fast", action="store_true",
-                      help="rank <= 4 oracle suite only")
+                      help="criterion 1 on A1-A4, 2-3 on F4/G2 and 7 on D6, so no "
+                           "E7/E8; the rest as by default (criterion 4 on all 28 "
+                           "types of rank <= 6, E6 and D6 included)")
     tier.add_argument("--full", action="store_true",
                       help="include the E7/E8 pairing tables")
     return parser
-
-
-def _cache_dir(args) -> Path:
-    return Path(args.cache_dir or os.environ.get("WEYL_CACHE") or ".weylcache")
-
-
-def _atlas(args, rs):
-    """Classification with a validated on-disk JSON cache."""
-    path = _cache_dir(args) / f"{rs.type_spec}.json"
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-            return atlas_from_json_dict(rs, data)
-        except (CacheError, json.JSONDecodeError, OSError) as exc:
-            print(f"warning: cache {path} unusable ({exc}); recomputing",
-                  file=sys.stderr)
-    classes = classify_involutions(rs)
-    cube_classes = classify_cubes(rs)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(atlas_json_bytes(rs))
-    except OSError as exc:
-        print(f"warning: could not write cache {path}: {exc}", file=sys.stderr)
-    return classes, cube_classes
 
 
 def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
@@ -239,7 +211,7 @@ def cmd_order(args) -> int:
 
 def cmd_involutions(args) -> int:
     rs = build_root_system(args.type)
-    classes, _ = _atlas(args, rs)
+    classes = classify_involutions(rs)
     if args.json:
         _emit_json({
             "type": str(rs.type_spec),
@@ -258,7 +230,7 @@ def cmd_involutions(args) -> int:
 
 def cmd_cubes(args) -> int:
     rs = build_root_system(args.type)
-    _, cube_classes = _atlas(args, rs)
+    cube_classes = classify_cubes(rs)
     if args.json:
         _emit_json({
             "type": str(rs.type_spec),
@@ -276,7 +248,7 @@ def cmd_cubes(args) -> int:
 
 def cmd_basis(args) -> int:
     rs = build_root_system(args.type)
-    classes, _ = _atlas(args, rs)
+    classes = classify_involutions(rs)
     basis = canonical_basis(classes)
     if args.json:
         _emit_json(basis.to_json_dict())
@@ -289,7 +261,7 @@ def cmd_basis(args) -> int:
 
 def cmd_pair(args) -> int:
     rs = build_root_system(args.type)
-    classes, _ = _atlas(args, rs)
+    classes = classify_involutions(rs)
     budget = GapBudget(max_exterior=args.budget)
     from .reps import coxeter_rep
     cox = coxeter_rep(rs)
@@ -341,7 +313,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_gap(args) -> int:
     rs = build_root_system(args.type)
-    classes, _ = _atlas(args, rs)
+    classes = classify_involutions(rs)
     budget = GapBudget(max_exterior=args.budget)
     base, skipped = base_catalogue(rs, budget)
     reports = hard_case_reports(classes, default_catalogue(rs, budget, base))

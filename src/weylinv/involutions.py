@@ -26,7 +26,6 @@ positive root orthogonal to it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -34,13 +33,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .roots import InternalError, RootSystem, SubsystemEmbedding
+from .roots import InternalError, RootSystem, SubsystemEmbedding, per_system
 from .weyl import (GroupElement, compose, coxeter_trace, group_order,
                    identity, subgroup_order)
-
-
-class CacheError(ValueError):
-    """A cache file failed validation and should be recomputed."""
 
 
 def mask_of_perm(images: np.ndarray, rs: RootSystem) -> int:
@@ -376,15 +371,9 @@ class InvolutionClass:
         return f"InvolutionClass({self.class_id}, size {self.size})"
 
 
+@per_system
 def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
-    """Conjugacy classes of involutions, sorted by (degree, size, minimal key).
-
-    Results are memoized on the root system.
-    """
-    cached = getattr(rs, "_involution_classes", None)
-    if cached is not None:
-        return cached
-
+    """Conjugacy classes of involutions, sorted by (degree, size, minimal key)."""
     engine = MaskEngine(rs)
     classes: list[InvolutionClass] = []
     candidates = [0]
@@ -407,7 +396,6 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
             candidates += [mask_of_perm(inv.element.images[rs.reflection_perm(b)], rs)
                            for b in _mask_bits(_orthogonal_to(rs, cube.roots))]
         degree += 1
-    rs._involution_classes = classes
     return classes
 
 
@@ -435,38 +423,33 @@ def _orthogonal_to(rs: RootSystem, roots: Sequence[int]) -> int:
     return reduce(int.__and__, (rs.orth_masks[r] for r in roots), (1 << rs.n_positive) - 1)
 
 
+@per_system
 def _cube_orbits(rs: RootSystem) -> tuple[MaskEngine, list, list]:
     """The engine, each rank's cubes with their orbit labels, and (rank, size,
-    min mask, label) of each class in class order.  Computed once per system.
+    min mask, label) of each class in class order.
 
     Rank k+1 is the orbit of each rank-k class representative plus each
     positive root orthogonal to it: conjugating a rank-k part of a cube to its
     representative sends the extra root to plus or minus such a root."""
-    cached = getattr(rs, "_cube_orbits", None)
-    if cached is None:
-        engine = MaskEngine(rs)
-        layers, classes, candidates, seeds = [], [], [0], 0
-        while candidates:
-            rows, keys, labels = engine.orbit(engine.rows(candidates))
-            labels += seeds  # unique across ranks
-            seeds += len(candidates)
-            layers.append((MaskSet(engine, rows, keys), labels))
-            found = _orbit_classes(engine, rows, labels)
-            classes += [(mask.bit_count(), size, mask, label) for size, mask, label in found]
-            candidates = [mask | 1 << b for _, mask, _ in found
-                          for b in _mask_bits(_orthogonal_to(rs, _mask_bits(mask)))]
-        cached = rs._cube_orbits = (engine, layers, classes)
-    return cached
+    engine = MaskEngine(rs)
+    layers, classes, candidates, seeds = [], [], [0], 0
+    while candidates:
+        rows, keys, labels = engine.orbit(engine.rows(candidates))
+        labels += seeds  # unique across ranks
+        seeds += len(candidates)
+        layers.append((MaskSet(engine, rows, keys), labels))
+        found = _orbit_classes(engine, rows, labels)
+        classes += [(mask.bit_count(), size, mask, label) for size, mask, label in found]
+        candidates = [mask | 1 << b for _, mask, _ in found
+                      for b in _mask_bits(_orthogonal_to(rs, _mask_bits(mask)))]
+    return engine, layers, classes
 
 
+@per_system
 def classify_cubes(rs: RootSystem) -> list[CubeClass]:
     """Conjugacy classes of cubes, sorted by (rank, size, minimal key)."""
-    cached = getattr(rs, "_cube_classes", None)
-    if cached is None:
-        cached = [CubeClass(Cube(rs, _mask_bits(mask)), rank, size)
-                  for rank, size, mask, _ in _cube_orbits(rs)[2]]
-        rs._cube_classes = cached
-    return cached
+    return [CubeClass(Cube(rs, _mask_bits(mask)), rank, size)
+            for rank, size, mask, _ in _cube_orbits(rs)[2]]
 
 
 # -- odd-index reductions ----------------------------------------------------
@@ -524,101 +507,3 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
         all_covered=all_covered,
         passed=odd and all_covered,
     )
-
-
-# -- JSON cache ---------------------------------------------------------------
-
-
-def atlas_json_dict(rs: RootSystem) -> dict:
-    """Serializable snapshot of the classification of one type."""
-    classes = classify_involutions(rs)
-    cube_classes = classify_cubes(rs)
-    return {
-        "type": str(rs.type_spec),
-        "group_order": group_order(rs),
-        "involution_classes": [
-            {
-                "degree": cls.degree,
-                "size": cls.size,
-                "splitting_roots": list(cls.splitting.roots),
-                "representative_eigenspace": [
-                    [str(v) for v in row]
-                    for row in cls.representative.eigenspace_key],
-            }
-            for cls in classes],
-        "cube_classes": [
-            {
-                "rank": cc.rank,
-                "size": cc.size,
-                "representative_roots": list(cc.representative.roots),
-            }
-            for cc in cube_classes],
-    }
-
-
-def atlas_json_bytes(rs: RootSystem) -> bytes:
-    return (json.dumps(atlas_json_dict(rs), indent=2, sort_keys=True) + "\n"
-            ).encode()
-
-
-def validate_atlas_dict(rs: RootSystem, data: dict) -> None:
-    """Cheap structural validation of a cached snapshot against its system."""
-    try:
-        if data["type"] != str(rs.type_spec):
-            raise CacheError("cached type does not match")
-        if not isinstance(data["group_order"], int) or data["group_order"] < 1:
-            raise CacheError("bad group order")
-        for entry in data["involution_classes"]:
-            cube = Cube(rs, entry["splitting_roots"])
-            if len(cube) != entry["degree"]:
-                raise CacheError("splitting does not match stated degree")
-            if entry["size"] < 1:
-                raise CacheError("bad class size")
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CacheError):
-            raise
-        raise CacheError(f"malformed atlas cache: {exc}") from exc
-
-
-def atlas_from_json_dict(rs: RootSystem, data: dict,
-                         ) -> tuple[list[InvolutionClass], list[CubeClass]]:
-    """Rebuild a classification from a cached snapshot, verifying as it goes.
-
-    Splittings are re-multiplied and eigenspaces re-echelonized, so a stale
-    or hand-edited cache cannot smuggle in a wrong table; sizes and the
-    stated group order are cross-checked where recomputation is cheap.
-    """
-    validate_atlas_dict(rs, data)
-    if data["group_order"] != group_order(rs):
-        raise CacheError("cached group order disagrees with recomputation")
-    classes = []
-    per_degree: dict[int, int] = {}
-    for entry in data["involution_classes"]:
-        cube = Cube(rs, entry["splitting_roots"])
-        inv = involution_from_cube(cube)
-        degree = entry["degree"]
-        if inv.degree != degree:
-            raise CacheError("cached splitting has the wrong degree")
-        stored = [[str(v) for v in row] for row in inv.eigenspace_key]
-        if stored != entry["representative_eigenspace"]:
-            raise CacheError("cached eigenspace does not match its splitting")
-        ordinal = per_degree.get(degree, 0)
-        per_degree[degree] = ordinal + 1
-        classes.append(InvolutionClass(
-            representative=inv, degree=degree, size=entry["size"],
-            splitting=cube, class_id=f"d{degree}.{ordinal}"))
-    keys = [(c.degree, c.size, c.representative.mask) for c in classes]
-    if keys != sorted(keys):
-        raise CacheError("cached classes are out of canonical order")
-    cube_classes = []
-    for entry in data["cube_classes"]:
-        cube = Cube(rs, entry["representative_roots"])
-        if len(cube) != entry["rank"]:
-            raise CacheError("cached cube class has the wrong rank")
-        cube_classes.append(CubeClass(cube, entry["rank"], entry["size"]))
-    ckeys = [(cc.rank, cc.size, cc.representative.mask) for cc in cube_classes]
-    if ckeys != sorted(ckeys):
-        raise CacheError("cached cube classes are out of canonical order")
-    rs._involution_classes = classes
-    rs._cube_classes = cube_classes
-    return classes, cube_classes

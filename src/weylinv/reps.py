@@ -138,31 +138,22 @@ def _newton_exterior_trace(mat: np.ndarray, k: int) -> int:
     return int(e[k])
 
 
-def _signed_axis_action(rs: RootSystem, g: GroupElement) -> tuple[list[int], list[int]]:
-    """Express g as a signed permutation of the coordinate axes.
+def _signed_axis_action(rs: RootSystem, g: GroupElement, plus: np.ndarray,
+                        minus: np.ndarray) -> tuple[list[int], list[int]]:
+    """Express g as a signed permutation of the coordinate axes, given the
+    indices of the roots e_i + e_j and e_i - e_j for each axis i (j != i).
 
     Only valid for realizations whose elements act monomially on the ambient
     basis (the B/C/D families); anything else raises.
     """
-    n = rs.ambient_dim
-    perm = [-1] * n
-    sign = [0] * n
-    for i in range(n):
-        j = 1 if i == 0 else 0
-        plus = [Fraction(0)] * n
-        plus[i], plus[j] = Fraction(1), Fraction(1)
-        minus = [Fraction(0)] * n
-        minus[i], minus[j] = Fraction(1), Fraction(-1)
-        ip = int(g.images[rs.index_of(plus)])
-        im = int(g.images[rs.index_of(minus)])
-        image = [(a + b) / 2 for a, b in
-                 zip(rs.roots[ip].coords, rs.roots[im].coords)]
-        nz = [k for k, v in enumerate(image) if v]
-        if len(nz) != 1 or abs(image[nz[0]]) != 1:
-            raise InternalError("element does not act monomially on the axes")
-        perm[i] = nz[0]
-        sign[i] = 1 if image[nz[0]] > 0 else -1
-    return perm, sign
+    # doubled coordinates of g(e_i + e_j) + g(e_i - e_j), that is 4 g(e_i)
+    image = rs._icoord_mat[g.images[plus]] + rs._icoord_mat[g.images[minus]]
+    nonzero = image != 0
+    if np.any(nonzero.sum(axis=1) != 1) or np.any(np.abs(image[nonzero]) != 4):
+        raise InternalError("element does not act monomially on the axes")
+    perm = nonzero.argmax(axis=1)
+    sign = image[np.arange(len(perm)), perm] // 4
+    return perm.tolist(), sign.tolist()
 
 
 def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representation]:
@@ -184,9 +175,13 @@ def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representati
     m = n // 2
     subsets = [frozenset(c) for c in combinations(range(n), m)]
     dim_total = len(subsets)
+    unit = np.eye(n, dtype=np.int64)
+    other = unit[[1] + [0] * (n - 1)]  # e_j for each axis i: j = 1 if i = 0, else 0
+    plus = np.array([rs.index_of(row) for row in unit + other])
+    minus = np.array([rs.index_of(row) for row in unit - other])
 
     def char_pair(g: GroupElement) -> tuple[int, int]:
-        perm, sign = _signed_axis_action(rs, g)
+        perm, sign = _signed_axis_action(rs, g, plus, minus)
         plain = 0
         twisted = 0
         for a in subsets:

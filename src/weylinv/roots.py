@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,17 @@ def _factor_root_count(fam: str, n: int) -> int:
 
 class InternalError(RuntimeError):
     """A structural invariant that must hold by construction was violated."""
+
+
+def per_system(fn):
+    """Memoize fn(rs) in the memo of rs: computed once per system, never shared."""
+    @wraps(fn)
+    def memoized(rs: "RootSystem"):
+        memo = rs._memo
+        if fn not in memo:
+            memo[fn] = fn(rs)
+        return memo[fn]
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -179,11 +191,13 @@ class RootSystem:
 
     Positive roots come first (sorted by height then coordinates); root i + P
     is the negative of root i, where P is the number of positive roots.
-    Immutable after construction.
+    Immutable after construction; what is derived from it is memoized in
+    `_memo` by the functions decorated with `per_system`.
     """
 
     def __init__(self, spec: TypeSpec):
         self.type_spec = spec
+        self._memo: dict = {}
         blocks = []
         offset = 0
         self.ambient_dim = 0
@@ -279,7 +293,6 @@ class RootSystem:
             self.orth_masks.append(mask)
 
         self._refl_cache: dict[int, np.ndarray] = {}
-        self._chain = None  # the Steinberg chain of W, built by weyl.stab_chain
 
     # -- basic queries -----------------------------------------------------
 

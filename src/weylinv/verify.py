@@ -402,8 +402,10 @@ CRITERIA = (
 def run_acceptance(tier: str = "default", out=print) -> list[CheckResult]:
     """Run every criterion; one line per criterion; returns the results.
 
-    tier 'fast' restricts to the rank <= 4 oracle scale, 'default' runs the
-    criteria as stated, 'full' additionally pairs E7/E8 against the delta.
+    tier 'default' runs the criteria as stated; 'fast' runs criterion 1 on
+    A1-A4, criteria 2-3 on F4 and G2 and criterion 7 on D6, so no E7/E8, and
+    the rest as 'default' does (criterion 4 on all 28 types of rank <= 6, E6
+    and D6 included); 'full' additionally pairs E7/E8 against the delta.
     """
     if tier not in ("fast", "default", "full"):
         raise ValueError(f"unknown tier {tier!r}")

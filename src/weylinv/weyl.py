@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .roots import InternalError, Root, RootSystem
+from .roots import InternalError, Root, RootSystem, per_system
 
 
 class GroupElement:
@@ -53,13 +53,11 @@ class GroupElement:
         return f"GroupElement(moves {n} roots of {self.home.type_spec})"
 
 
+@per_system
 def _id_images(rs: RootSystem) -> np.ndarray:
-    cached = getattr(rs, "_id_images", None)
-    if cached is None:
-        cached = np.arange(len(rs.roots), dtype=np.int16)
-        cached.setflags(write=False)
-        rs._id_images = cached
-    return cached
+    images = np.arange(len(rs.roots), dtype=np.int16)
+    images.setflags(write=False)
+    return images
 
 
 def identity(rs: RootSystem) -> GroupElement:
@@ -215,11 +213,10 @@ class StabChain:
         return bool(np.array_equal(g, _id_images(rs)))
 
 
+@per_system
 def stab_chain(rs: RootSystem) -> StabChain:
     """The memoized chain of W over the simple roots of rs."""
-    if rs._chain is None:
-        rs._chain = StabChain(rs, rs.simple_indices)
-    return rs._chain
+    return StabChain(rs, rs.simple_indices)
 
 
 def group_order(rs: RootSystem) -> int:

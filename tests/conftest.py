@@ -1,15 +1,10 @@
 import pytest
 
-from weylinv import build_root_system
-
-_SYSTEMS = {}
+from weylinv.verify import get_system
 
 
 @pytest.fixture
 def system():
-    """Session-shared root systems so classifications are computed once."""
-    def get(name):
-        if name not in _SYSTEMS:
-            _SYSTEMS[name] = build_root_system(name)
-        return _SYSTEMS[name]
-    return get
+    """The acceptance battery's shared registry, so each system and its
+    classification are built once per session."""
+    return get_system

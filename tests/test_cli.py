@@ -1,4 +1,4 @@
-"""The command-line surface: formats, caching, determinism, exit codes."""
+"""The command-line surface: formats, determinism, exit codes."""
 
 import json
 
@@ -11,38 +11,35 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_basis_a1(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "basis", "A1")
+def test_basis_a1(capsys):
+    code, out, _ = run_cli(capsys, "basis", "A1")
     assert code == 0
     assert "0,1" in out
     assert "A1" in out
 
 
-def test_basis_e6_table(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "basis", "E6")
+def test_basis_e6_table(capsys):
+    code, out, _ = run_cli(capsys, "basis", "E6")
     assert code == 0
     assert "0,1,2,3,4" in out
 
 
-def test_roots_json(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                           "roots", "G2")
+def test_roots_json(capsys):
+    code, out, _ = run_cli(capsys, "--json", "roots", "G2")
     assert code == 0
     data = json.loads(out)
     assert data["type"] == "G2"
     assert len(data["roots"]) == 12
 
 
-def test_order_subcommand(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                           "order", "F4")
+def test_order_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "--json", "order", "F4")
     assert code == 0
     assert json.loads(out)["order"] == 1152
 
 
-def test_reduce_e6(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                           "reduce", "E6")
+def test_reduce_e6(capsys):
+    code, out, _ = run_cli(capsys, "--json", "reduce", "E6")
     assert code == 0
     data = json.loads(out)
     assert data["index"] == 27
@@ -51,57 +48,34 @@ def test_reduce_e6(tmp_path, capsys):
     assert data["passed"] is True
 
 
-def test_reduce_needs_builtin_or_target(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "--cache-dir", str(tmp_path), "reduce", "B3")
+def test_reduce_needs_builtin_or_target(capsys):
+    code, _, err = run_cli(capsys, "reduce", "B3")
     assert code == 2
     assert "target" in err
-    code, out, _ = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                           "reduce", "B3", "--target", "B2")
+    code, out, _ = run_cli(capsys, "--json", "reduce", "B3", "--target", "B2")
     assert code == 0
     assert json.loads(out)["index"] == 6
 
 
-def test_involutions_table_and_cache(tmp_path, capsys):
-    code, out1, _ = run_cli(capsys, "--cache-dir", str(tmp_path),
-                            "involutions", "B2")
+def test_involutions_table_and_cache(capsys):
+    code, out1, _ = run_cli(capsys, "involutions", "B2")
     assert code == 0
-    assert (tmp_path / "B2.json").exists()
-    code, out2, _ = run_cli(capsys, "--cache-dir", str(tmp_path),
-                            "involutions", "B2")
+    code, out2, _ = run_cli(capsys, "involutions", "B2")
     assert code == 0
-    assert out1 == out2  # byte-identical across cold and cached runs
+    assert out1 == out2  # byte-identical across runs
 
 
-def test_cache_corruption_recovers_with_warning(tmp_path, capsys):
-    run_cli(capsys, "--cache-dir", str(tmp_path), "involutions", "B2")
-    (tmp_path / "B2.json").write_text("{not json")
-    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path),
-                             "involutions", "B2")
-    assert code == 0
-    assert "recomputing" in err
-    assert "d0.0" in out
-    # the rewritten cache is valid again
-    data = json.loads((tmp_path / "B2.json").read_text())
-    assert data["type"] == "B2"
+def test_cli_writes_no_files_and_counts_b3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("WEYL_CACHE", str(tmp_path / "cache"))
+    code, out, err = run_cli(capsys, "--json", "involutions", "B3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["involution_count"] == 20
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_wrong_table_is_rejected(tmp_path, capsys):
-    run_cli(capsys, "--cache-dir", str(tmp_path), "involutions", "B2")
-    path = tmp_path / "B2.json"
-    data = json.loads(path.read_text())
-    data["involution_classes"][1]["size"] = 12345
-    path.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                             "involutions", "B2")
-    assert code == 0
-    assert "recomputing" in err
-    sizes = [c["size"] for c in json.loads(out)["classes"]]
-    assert 12345 not in sizes
-
-
-def test_pair_table_with_expression(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                           "pair", "B2", "--expr", "t*sw(cox,1)")
+def test_pair_table_with_expression(capsys):
+    code, out, _ = run_cli(capsys, "--json", "pair", "B2", "--expr", "t*sw(cox,1)")
     assert code == 0
     data = json.loads(out)
     custom = next(p for p in data["pairings"] if p["expr"] == "t*sw(cox,1)")
@@ -110,14 +84,13 @@ def test_pair_table_with_expression(tmp_path, capsys):
     assert data["separation"]["unseparated"] == []
 
 
-def test_pair_rejects_bad_expression(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "--cache-dir", str(tmp_path),
-                           "pair", "B2", "--expr", "sw(nosuchrep,1)")
+def test_pair_rejects_bad_expression(capsys):
+    code, _, err = run_cli(capsys, "pair", "B2", "--expr", "sw(nosuchrep,1)")
     assert code == 2
     assert "unknown representation" in err
 
 
-def test_pair_builds_the_catalogue_once(tmp_path, monkeypatch, capsys):
+def test_pair_builds_the_catalogue_once(monkeypatch, capsys):
     from weylinv import cli, reps
     calls = []
 
@@ -128,31 +101,28 @@ def test_pair_builds_the_catalogue_once(tmp_path, monkeypatch, capsys):
     build = reps.base_catalogue
     monkeypatch.setattr(reps, "base_catalogue", counted)
     monkeypatch.setattr(cli, "base_catalogue", counted)
-    code, _, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "pair", "D4",
+    code, _, _ = run_cli(capsys, "pair", "D4",
                          "--expr", "sw(cox,1)", "--expr", "sw(cox,2)")
     assert code == 0
     assert len(calls) == 1
 
 
-def test_pair_rejects_huge_exponent(tmp_path, capsys):
+def test_pair_rejects_huge_exponent(capsys):
     import time
     from weylinv.cli import MAX_EXPONENT
     assert MAX_EXPONENT >= 64
     t0 = time.monotonic()
-    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path),
-                             "pair", "A1", "--expr", "t^100000000")
+    code, out, err = run_cli(capsys, "pair", "A1", "--expr", "t^100000000")
     assert time.monotonic() - t0 < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "exponent" in err
-    code, _, _ = run_cli(capsys, "--cache-dir", str(tmp_path),
-                         "pair", "A1", "--expr", f"t^{MAX_EXPONENT}")
+    code, _, _ = run_cli(capsys, "pair", "A1", "--expr", f"t^{MAX_EXPONENT}")
     assert code == 0
 
 
-def test_gap_d4_json(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                           "gap", "D4")
+def test_gap_d4_json(capsys):
+    code, out, _ = run_cli(capsys, "--json", "gap", "D4")
     assert code == 0
     data = json.loads(out)
     for report in data["reports"]:
@@ -161,21 +131,22 @@ def test_gap_d4_json(tmp_path, capsys):
             assert abs(hit["gap"]) == report["target"]
 
 
-def test_cubes_csv(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--csv", "--cache-dir", str(tmp_path),
-                           "cubes", "A2")
+def test_cubes_csv(capsys):
+    code, out, _ = run_cli(capsys, "--csv", "cubes", "A2")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "rank,size,representative"
     assert len(lines) == 3
 
 
-def test_usage_errors(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "basis", "Q9")
+def test_usage_errors(capsys):
+    code, _, _ = run_cli(capsys, "basis", "Q9")
     assert code == 2
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
     code, _, err = run_cli(capsys, "--threads", "0", "basis", "A1")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "--cache-dir", "x", "basis", "A1")
     assert code == 2
 
 
@@ -192,21 +163,6 @@ def test_unexpected_error_exits_internal(monkeypatch, capsys):
     assert err.splitlines() == ["internal error: RuntimeError: boom"]
 
 
-def test_gap_reads_classes_from_the_cache(tmp_path, monkeypatch, capsys):
-    from weylinv import cli, verify
-    code, cold, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "gap", "D6")
-    assert code == 0
-
-    def no_classification(rs):
-        raise AssertionError("involutions classified despite a warm cache")
-
-    monkeypatch.setattr(cli, "classify_involutions", no_classification)
-    monkeypatch.setattr(verify, "_SYSTEMS", {})
-    code, warm, err = run_cli(capsys, "--cache-dir", str(tmp_path), "gap", "D6")
-    assert (code, err) == (0, "")
-    assert warm == cold
-
-
 def test_order_rejects_oversized_type_before_building(capsys):
     import time
     t0 = time.monotonic()
@@ -217,9 +173,8 @@ def test_order_rejects_oversized_type_before_building(capsys):
     assert "32942 roots" in err
 
 
-def test_verify_fast_exits_zero(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path),
-                           "verify", "--fast")
+def test_verify_fast_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--fast")
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 8

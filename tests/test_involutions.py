@@ -1,20 +1,19 @@
 """Involution and cube classification against brute-force oracles."""
 
-import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from weylinv import (CacheError, Cube, Involution, atlas_from_json_dict,
-                     atlas_json_bytes, build_root_system,
-                     classify_cubes, classify_involutions, compose,
-                     coxeter_trace, enumerate_cubes, enumerate_group,
-                     find_subsystem, group_order, identity, invert,
-                     involution_count, involution_from_cube,
-                     simple_reflections, split_involution, verify_reduction)
-from weylinv.verify import REDUCTION_PAIRS, get_system
+from weylinv import (Cube, Involution, build_root_system, classify_cubes,
+                     classify_involutions, compose, coxeter_trace,
+                     enumerate_cubes, enumerate_group, find_subsystem,
+                     group_order, identity, invert, involution_count,
+                     involution_from_cube, simple_reflections, split_involution,
+                     stab_chain, verify_reduction)
+from weylinv.roots import per_system
+from weylinv.verify import REDUCTION_PAIRS
 
 
 def census_oracle(rs):
@@ -175,8 +174,8 @@ EXCEPTIONAL_TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(EXCEPTIONAL_TABLES))
-def test_exceptional_class_tables(name):
-    rs = get_system(name)  # shared with the acceptance battery
+def test_exceptional_class_tables(system, name):
+    rs = system(name)
     table, total = EXCEPTIONAL_TABLES[name]
     assert [(c.degree, c.size) for c in classify_involutions(rs)] == table
     assert involution_count(rs) == total
@@ -194,8 +193,8 @@ EXCEPTIONAL_CUBE_TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(EXCEPTIONAL_CUBE_TABLES))
-def test_exceptional_cube_tables(name):
-    rs = get_system(name)  # shared with the acceptance battery
+def test_exceptional_cube_tables(system, name):
+    rs = system(name)
     table, total = EXCEPTIONAL_CUBE_TABLES[name]
     classes = classify_cubes(rs)
     assert [(c.rank, c.size) for c in classes] == table
@@ -461,9 +460,9 @@ def test_engine_rejects_key_collision_across_levels(monkeypatch):
 
 
 @pytest.mark.parametrize("amb,sub", [(amb, sub) for amb, sub, _ in REDUCTION_PAIRS])
-def test_reduction_independent_of_cube_state(amb, sub):
+def test_reduction_independent_of_cube_state(system, amb, sub):
     fresh = build_root_system(amb)
-    classified = get_system(amb)  # shared with the acceptance battery
+    classified = system(amb)
     classify_cubes(classified)
     assert verify_reduction(fresh, find_subsystem(fresh, sub)) == \
         verify_reduction(classified, find_subsystem(classified, sub))
@@ -495,40 +494,30 @@ def test_reduction_f4_b4(system):
     assert report.to_json_dict()["cube_classes"][0]["covered"] is True
 
 
-# -- JSON cache ----------------------------------------------------------------------
+# -- the per-system memo ----------------------------------------------------------
 
-def test_atlas_json_round_trip_byte_identical(system):
-    rs = system("B3")
-    first = atlas_json_bytes(rs)
-    second = atlas_json_bytes(rs)
-    assert first == second
-    fresh = build_root_system("B3")
-    assert atlas_json_bytes(fresh) == first
+def _class_rows(rs):
+    return ([(c.class_id, c.degree, c.size, c.splitting.roots,
+              c.representative.eigenspace_key) for c in classify_involutions(rs)],
+            [(c.rank, c.size, c.representative.roots) for c in classify_cubes(rs)])
 
 
-def test_atlas_json_loads_back(system):
-    rs = system("B3")
-    data = json.loads(atlas_json_bytes(rs))
-    fresh = build_root_system("B3")
-    classes, cube_classes = atlas_from_json_dict(fresh, data)
-    assert [(c.degree, c.size) for c in classes] == \
-        [(c.degree, c.size) for c in classify_involutions(rs)]
-    assert [(c.rank, c.size) for c in cube_classes] == \
-        [(c.rank, c.size) for c in classify_cubes(rs)]
+def test_classification_is_the_same_on_a_fresh_system(system):
+    assert _class_rows(build_root_system("B3")) == _class_rows(system("B3"))
 
 
-def test_atlas_cache_rejects_tampering(system):
-    rs = system("B3")
-    data = json.loads(atlas_json_bytes(rs))
-    bad = json.loads(json.dumps(data))
-    bad["involution_classes"][1]["degree"] = 2
-    with pytest.raises(CacheError):
-        atlas_from_json_dict(build_root_system("B3"), bad)
-    bad = json.loads(json.dumps(data))
-    bad["group_order"] = 999
-    with pytest.raises(CacheError):
-        atlas_from_json_dict(build_root_system("B3"), bad)
-    bad = json.loads(json.dumps(data))
-    bad["type"] = "C3"
-    with pytest.raises(CacheError):
-        atlas_from_json_dict(build_root_system("B3"), bad)
+def test_memo_is_per_system(system):
+    calls = []
+
+    @per_system
+    def probe(rs):
+        calls.append(rs)
+        return object()
+
+    rs, fresh = system("A2"), build_root_system("A2")
+    assert probe(rs) is probe(rs)
+    assert probe(fresh) is not probe(rs)
+    assert calls == [rs, fresh]
+    for fn in (classify_involutions, classify_cubes, stab_chain):
+        assert fn(rs) is fn(rs)
+        assert fn(fresh) is not fn(rs)

@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from weylinv import (GapBudget, GroupElement, character_gap,
+from weylinv import (GapBudget, GroupElement, InternalError, character_gap,
                      classify_involutions, compose, conj_subsystem_rep,
                      coxeter_rep, default_catalogue, direct_sum,
                      element_matrix, enumerate_group, exterior_cox_rep,
                      identity, invert, perm_roots_rep, search_gap, sign_rep,
                      simple_reflections, tensor, trivial_rep)
-from weylinv.reps import _newton_exterior_trace
+from weylinv.reps import _newton_exterior_trace, _signed_axis_action
 
 
 def minus_one(rs):
@@ -199,3 +199,19 @@ def test_catalogue_reports_budget_skips(system):
     assert skipped_tight  # the conjugation orbits exceed two elements
     assert len(tight) < len(full)
     assert all(s.startswith("conj[") for s in skipped_tight)
+
+
+def test_signed_axis_action_matches_the_root_action(system):
+    rs = system("D4")
+    unit = np.eye(4, dtype=np.int64)
+    other = unit[[1, 0, 0, 0]]
+    plus = np.array([rs.index_of(row) for row in unit + other])
+    minus = np.array([rs.index_of(row) for row in unit - other])
+    coords = rs._icoord_mat
+    for g in enumerate_group(rs):
+        perm, sign = _signed_axis_action(rs, g, plus, minus)
+        moved = np.zeros_like(coords)
+        moved[:, perm] = coords * sign  # g(e_i) = sign[i] e_perm[i]
+        assert np.array_equal(coords[g.images], moved)
+    with pytest.raises(InternalError, match="monomially"):
+        _signed_axis_action(rs, identity(rs), plus, plus)
