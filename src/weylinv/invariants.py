@@ -2,17 +2,26 @@
 
 F2[t]-polynomials are stored as integer bitmasks (bit k = coefficient of
 t^k), so addition is XOR and multiplication is carryless.  The invariant
-algebra of a rank-n cube has basis indexed by the subsets of the generators,
-subject to x_i^2 = t*x_i; restriction of a Stiefel-Whitney class to a cube
-expands the total class  prod_eps (1 + L_eps)^{m_eps}  from the exact
-character multiplicities m_eps of the restricted representation.  Pairing an
-invariant expression with an involution class extracts the full-subset
-coefficient of the restriction to the class's splitting cube.
+algebra of a rank-n cube has basis x_I indexed by the subsets I of the
+generators, with x_I * x_J = t^{|I and J|} x_{I or J}.
+
+Restriction to cubes rests on one exact fact.  For each subset S of the
+generators, x_i -> t [i in S] is a ring map to F2[t]; it sends a homogeneous
+degree-d element, a set of subsets I with coefficients t^(d - |I|), to t^d
+times the parity of the I contained in S.  That parity over all S is the
+element's *transform*, a 2^n-bit integer in which products are AND, sums XOR
+and powers of t all-ones; over F2 this subset transform is its own inverse.
+The total Stiefel-Whitney class goes to (1 + t)^N(S), N(S) the dimension of
+the -1 eigenspace of the product g_S of the reflections in S, so sw_k
+transforms to {S : N(S) & k == k} (Lucas).  The top coefficient of a
+homogeneous element, which pairing with an involution class reads on the
+class's splitting cube, is the popcount parity of its transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -127,10 +136,6 @@ class CubeClassElement:
             raise ValueError(f"generator index {i} out of range for rank {rank}")
         return cls(rank, {1 << i: 1})
 
-    @classmethod
-    def scalar(cls, rank: int, poly: BasePoly) -> "CubeClassElement":
-        return cls(rank, {0: poly.bits})
-
     def __add__(self, other: "CubeClassElement") -> "CubeClassElement":
         if self.rank != other.rank:
             raise ValueError("cube algebra ranks differ")
@@ -153,7 +158,7 @@ class CubeClassElement:
         return CubeClassElement(self.rank, out)
 
     def scale(self, poly: BasePoly) -> "CubeClassElement":
-        return self * CubeClassElement.scalar(self.rank, poly)
+        return self * CubeClassElement(self.rank, {0: poly.bits})
 
     def __eq__(self, other):
         return (isinstance(other, CubeClassElement)
@@ -164,16 +169,6 @@ class CubeClassElement:
 
     def coefficient(self, subset_mask: int) -> BasePoly:
         return BasePoly(self.coeffs.get(subset_mask, 0))
-
-    def homogeneous_component(self, d: int) -> "CubeClassElement":
-        """Terms t^k x_I with k + |I| = d."""
-        out: dict[int, int] = {}
-        for key, bits in self.coeffs.items():
-            size = bin(key).count("1")
-            k = d - size
-            if k >= 0 and bits >> k & 1:
-                out[key] = 1 << k
-        return CubeClassElement(self.rank, out)
 
     def __str__(self):
         if not self.coeffs:
@@ -315,14 +310,40 @@ def sw(rep: Representation, i: int) -> InvariantExpr:
 # -- restriction to cubes ------------------------------------------------------
 
 
-def _cube_elements(cube: Cube) -> list[np.ndarray]:
-    """Images arrays of all 2^n products of the cube's reflections."""
-    rs = cube.home
-    elems = [identity(rs).images]
+@cache
+def _hadamard(n: int) -> np.ndarray:
+    """Entry (E, S) is (-1)^|E and S|, the value at g_S of the character E."""
+    return reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.int8)] * n,
+                  np.ones((1, 1), dtype=np.int8))
+
+
+def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int]]:
+    """The character multiplicities of rep on the cube and the transform of
+    each sw_k restricted there, k = 0..dim, memoized on rep."""
+    memo = rep.restrictions.get(cube)
+    if memo is not None:
+        return memo
+    if rep.home is not cube.home:
+        raise ValueError("representation and cube live on different root systems")
+    elements = [identity(rep.home).images]  # entry S is the product g_S
     for i in cube.roots:
-        refl = rs.reflection_perm(i)
-        elems.extend([img[refl] for img in elems])
-    return elems  # index S reads as the product over the set bits of S
+        elements += [img[rep.home.reflection_perm(i)] for img in elements]
+    traces = np.array([rep.trace(GroupElement(img, rep.home)) for img in elements])
+    sums = _hadamard(len(cube)) @ traces
+    bad = np.flatnonzero((sums % len(traces) != 0) | (sums < 0))
+    if len(bad):
+        raise ValueError(
+            f"character of {rep.descriptor} is not a nonnegative integer "
+            f"combination on this cube (eps={bad[0]}, sum={sums[bad[0]]})")
+    mults = (sums // len(traces)).tolist()
+    if sum(mults) != rep.dim:
+        raise InternalError("character multiplicities do not add to the dimension")
+    minus, of_s = np.unique((rep.dim - traces) // 2, return_inverse=True)  # N(S) = minus[of_s[S]]
+    k = np.arange(rep.dim + 1)[:, None]
+    odd = np.packbits(((minus & k) == k)[:, of_s], axis=1, bitorder="little")  # C(N(S),k) odd
+    transforms = [int.from_bytes(row.tobytes(), "little") for row in odd]
+    memo = rep.restrictions[cube] = (mults, transforms)
+    return memo
 
 
 def character_multiplicities(rep: Representation, cube: Cube) -> list[int]:
@@ -332,80 +353,49 @@ def character_multiplicities(rep: Representation, cube: Cube) -> list[int]:
     generators in E.  Rejects anything that is not a genuine orthogonal
     representation on the cube (negative or fractional counts).
     """
-    if rep.home is not cube.home:
-        raise ValueError("representation and cube live on different root systems")
-    n = len(cube)
-    traces = [rep.trace(GroupElement(img, cube.home))
-              for img in _cube_elements(cube)]
-    size = 1 << n
-    mults = []
-    for eps in range(size):
-        acc = 0
-        for s in range(size):
-            sign = -1 if bin(eps & s).count("1") & 1 else 1
-            acc += sign * traces[s]
-        if acc % size or acc < 0:
-            raise ValueError(
-                f"character of {rep.descriptor} is not a nonnegative integer "
-                f"combination on this cube (eps={eps}, sum={acc})")
-        mults.append(acc // size)
-    if sum(mults) != rep.dim:
-        raise InternalError("character multiplicities do not add to the dimension")
-    return mults
+    return list(_restriction(rep, cube)[0])
 
 
-def _binomial_parity_poly(m: int) -> int:
-    """Bits of f with (1 + L)^m = 1 + f(t) L in the cube algebra (L^2 = tL)."""
-    bits = 0
-    for k in range(1, m + 1):
-        if k & m == k:  # C(m, k) is odd iff k is a submask of m
-            bits |= 1 << (k - 1)
-    return bits
+def _transforms(expr: InvariantExpr, cube: Cube) -> dict[int, int]:
+    """The transform of each homogeneous part of expr on the cube, by degree."""
+    if expr.home is not cube.home:
+        raise ValueError("expression and cube live on different root systems")
+    out: dict[int, int] = {}
+    for key, bits in expr.terms.items():
+        transform = (1 << (1 << len(cube))) - 1
+        for descriptor, i in key:
+            transform &= _restriction(expr.reps[descriptor], cube)[1][i]
+        degree = sum(i for _, i in key)
+        for a in range(bits.bit_length()):
+            if bits >> a & 1:
+                out[degree + a] = out.get(degree + a, 0) ^ transform
+    return out
+
+
+def _from_transforms(n: int, by_degree: Iterable[tuple[int, int]]) -> CubeClassElement:
+    """The element whose degree-d component has the given transform."""
+    full = (1 << (1 << n)) - 1
+    # the subsets without generator i: runs of 2^i set and 2^i clear bits
+    withouts = [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)]
+    coeffs: dict[int, int] = {}
+    for degree, transform in by_degree:
+        for i, without_i in enumerate(withouts):
+            transform ^= (transform & without_i) << (1 << i)
+        while transform:
+            subset = transform.bit_length() - 1
+            coeffs[subset] = coeffs.get(subset, 0) ^ 1 << (degree - subset.bit_count())
+            transform ^= 1 << subset
+    return CubeClassElement(n, coeffs)
 
 
 def total_class(rep: Representation, cube: Cube) -> CubeClassElement:
     """Total Stiefel-Whitney class of the restriction of rep to the cube."""
-    cached = rep.total_classes.get(cube)
-    if cached is not None:
-        return cached
-
-    n = len(cube)
-    mults = character_multiplicities(rep, cube)
-    out = CubeClassElement.one(n)
-    for eps in range(1, 1 << n):
-        m = mults[eps]
-        if m == 0:
-            continue
-        fbits = _binomial_parity_poly(m)
-        if fbits == 0:
-            continue
-        # (1 + L)^m = 1 + f_m(t) L with L the sum of the x_i carried by eps
-        factor_coeffs = {0: 1}
-        for i in range(n):
-            if eps >> i & 1:
-                factor_coeffs[1 << i] = fbits
-        out = out * CubeClassElement(n, factor_coeffs)
-    rep.total_classes[cube] = out
-    return out
+    return _from_transforms(len(cube), enumerate(_restriction(rep, cube)[1]))
 
 
 def restrict_to_cube(expr: InvariantExpr, cube: Cube) -> CubeClassElement:
     """Image of an invariant expression under restriction to a cube."""
-    if expr.home is not cube.home:
-        raise ValueError("expression and cube live on different root systems")
-    n = len(cube)
-    out = CubeClassElement(n)
-    for key, bits in expr.terms.items():
-        term = CubeClassElement.scalar(n, BasePoly(bits))
-        for descriptor, i in key:
-            rep = expr.reps[descriptor]
-            if (cube, i) not in rep.sw_components:
-                rep.sw_components[cube, i] = total_class(rep, cube).homogeneous_component(i)
-            term = term * rep.sw_components[cube, i]
-            if not term:
-                break
-        out = out + term
-    return out
+    return _from_transforms(len(cube), _transforms(expr, cube).items())
 
 
 # -- pairing and expansion ----------------------------------------------------
@@ -419,14 +409,12 @@ def pairing(expr: InvariantExpr, cls: InvolutionClass) -> BasePoly:
     (independence from that choice is a tested property).
     """
     m = expr.degree()  # raises on inhomogeneous input
-    result = top_coefficient(restrict_to_cube(expr, cls.splitting))
-    if result:
-        n = cls.degree
-        if m is None or m < n or result != BasePoly.t_power(m - n):
-            raise InternalError(
-                f"pairing of degree-{m} expression with degree-{n} class "
-                f"came out as {result}")
-    return result
+    if not _transforms(expr, cls.splitting).get(m, 0).bit_count() & 1:
+        return BasePoly.zero()
+    if m < cls.degree:
+        raise InternalError(f"pairing of degree-{m} expression with "
+                            f"degree-{cls.degree} class came out nonzero")
+    return BasePoly.t_power(m - cls.degree)
 
 
 @dataclass(frozen=True)
@@ -507,23 +495,6 @@ class SeparationReport:
         }
 
 
-def _monomials_of_degree(reps: Sequence[Representation], degree: int,
-                         ) -> Iterable[InvariantExpr]:
-    """All products of sw classes of the given total degree, no t factors."""
-    symbols = [(rep, i) for rep in reps for i in range(1, min(rep.dim, degree) + 1)]
-
-    def rec(start: int, remaining: int, acc: InvariantExpr):
-        if remaining == 0:
-            yield acc
-            return
-        for idx in range(start, len(symbols)):
-            rep, i = symbols[idx]
-            if i <= remaining:
-                yield from rec(idx, remaining - i, acc * sw(rep, i))
-
-    yield from rec(0, degree, InvariantExpr.one(reps[0].home))
-
-
 def sw_separation_report(classes: Sequence[InvolutionClass],
                          catalogue: Sequence[Representation],
                          ) -> SeparationReport:
@@ -535,8 +506,9 @@ def sw_separation_report(classes: Sequence[InvolutionClass],
     the monomial scan is exhaustive for the catalogue.  Direct sums and
     tensor products add nothing here (their sw classes are polynomials in
     the factors' by the splitting principle), so pass base entries only.
+    The walk keeps each class's transform of the product so far, and skips
+    a subtree where all of them are 0 (it pairs to 0 with every class).
     """
-    home = classes[0].home
     by_degree: dict[int, list[InvolutionClass]] = {}
     for cls in classes:
         by_degree.setdefault(cls.degree, []).append(cls)
@@ -548,16 +520,30 @@ def sw_separation_report(classes: Sequence[InvolutionClass],
             continue
         pending = {(a.class_id, b.class_id)
                    for i, a in enumerate(group) for b in group[i + 1:]}
-        for mono in _monomials_of_degree(catalogue, degree):
-            if not pending:
-                break
-            values = {cls.class_id: pairing(mono, cls) for cls in group}
-            for pair in sorted(pending):
-                if values[pair[0]] != values[pair[1]]:
-                    separated.append((pair[0], pair[1], str(mono)))
-                    pending.discard(pair)
+        symbols = [(rep, i) for rep in catalogue
+                   for i in range(1, min(rep.dim, degree) + 1)]
+
+        def walk(start: int, remaining: int, products: list[int], factors: tuple):
+            if remaining == 0:
+                values = {cls.class_id: p.bit_count() & 1
+                          for cls, p in zip(group, products)}
+                witness = "*".join(f"sw({d},{i})" for d, i in sorted(factors))
+                for pair in sorted(pending):
+                    if values[pair[0]] != values[pair[1]]:
+                        separated.append((pair[0], pair[1], witness))
+                        pending.discard(pair)
+                return
+            for idx in range(start, len(symbols)):
+                rep, i = symbols[idx]
+                if pending and i <= remaining:
+                    below = [p & _restriction(rep, cls.splitting)[1][i]
+                             for p, cls in zip(products, group)]
+                    if any(below):
+                        walk(idx, remaining - i, below, factors + ((rep.descriptor, i),))
+
+        walk(0, degree, [(1 << (1 << degree)) - 1] * len(group), ())  # the transform of 1
         unseparated.extend(sorted(pending))
     return SeparationReport(
-        type_name=str(home.type_spec),
+        type_name=str(classes[0].home.type_spec),
         separated=tuple(separated),
         unseparated=tuple(unseparated))

@@ -148,6 +148,12 @@ class MaskEngine:
         return rows[order], keys[order], root[seeds[order]]
 
 
+@per_system
+def _mask_engine(rs: RootSystem) -> MaskEngine:
+    """The one orbit engine of a root system."""
+    return MaskEngine(rs)
+
+
 def _no_collision(ok: bool) -> None:
     if not ok:
         raise InternalError("two masks share a 64-bit key (a key collision)")
@@ -374,7 +380,7 @@ class InvolutionClass:
 @per_system
 def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
     """Conjugacy classes of involutions, sorted by (degree, size, minimal key)."""
-    engine = MaskEngine(rs)
+    engine = _mask_engine(rs)
     classes: list[InvolutionClass] = []
     candidates = [0]
     degree = 0
@@ -424,14 +430,14 @@ def _orthogonal_to(rs: RootSystem, roots: Sequence[int]) -> int:
 
 
 @per_system
-def _cube_orbits(rs: RootSystem) -> tuple[MaskEngine, list, list]:
-    """The engine, each rank's cubes with their orbit labels, and (rank, size,
-    min mask, label) of each class in class order.
+def _cube_orbits(rs: RootSystem) -> tuple[list, list]:
+    """Each rank's cubes with their orbit labels, and (rank, size, min mask,
+    label) of each class in class order.
 
     Rank k+1 is the orbit of each rank-k class representative plus each
     positive root orthogonal to it: conjugating a rank-k part of a cube to its
     representative sends the extra root to plus or minus such a root."""
-    engine = MaskEngine(rs)
+    engine = _mask_engine(rs)
     layers, classes, candidates, seeds = [], [], [0], 0
     while candidates:
         rows, keys, labels = engine.orbit(engine.rows(candidates))
@@ -442,14 +448,14 @@ def _cube_orbits(rs: RootSystem) -> tuple[MaskEngine, list, list]:
         classes += [(mask.bit_count(), size, mask, label) for size, mask, label in found]
         candidates = [mask | 1 << b for _, mask, _ in found
                       for b in _mask_bits(_orthogonal_to(rs, _mask_bits(mask)))]
-    return engine, layers, classes
+    return layers, classes
 
 
 @per_system
 def classify_cubes(rs: RootSystem) -> list[CubeClass]:
     """Conjugacy classes of cubes, sorted by (rank, size, minimal key)."""
     return [CubeClass(Cube(rs, _mask_bits(mask)), rank, size)
-            for rank, size, mask, _ in _cube_orbits(rs)[2]]
+            for rank, size, mask, _ in _cube_orbits(rs)[1]]
 
 
 # -- odd-index reductions ----------------------------------------------------
@@ -490,9 +496,9 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
     if total % sub_order:
         raise InternalError("subgroup order does not divide the group order")
     index = total // sub_order
-    engine, layers, classes = _cube_orbits(rs)
+    layers, classes = _cube_orbits(rs)
     masks = list(_clique_masks(rs, sub.positive_closure_mask()))
-    inside, ranks = engine.rows(masks), np.array([mask.bit_count() for mask in masks])
+    inside, ranks = _mask_engine(rs).rows(masks), np.array([mask.bit_count() for mask in masks])
     hit = {label for rank, (cubes, labels) in enumerate(layers)
            for label in labels[cubes.find(inside[ranks == rank])].tolist()}
     rows = tuple((rank, size, label in hit) for rank, size, _, label in classes)

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .roots import InternalError, RootSystem, SubsystemEmbedding, TypeSpec, find_subsystem
-from .involutions import InvolutionClass, MaskEngine
+from .involutions import InvolutionClass, _mask_engine
 from .weyl import GroupElement, compose, coxeter_trace, element_matrix, length_parity
 
 
@@ -26,7 +26,7 @@ class Representation:
     Equality is identity: two representations may share a descriptor.
     """
 
-    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "total_classes", "sw_components")
+    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "restrictions")
 
     def __init__(self, descriptor: str, dim: int, home: RootSystem,
                  trace_fn: Callable[[GroupElement], int]):
@@ -34,8 +34,7 @@ class Representation:
         self.dim = dim
         self.home = home
         self._trace_fn = trace_fn
-        self.total_classes: dict = {}  # Cube -> memo of invariants.total_class
-        self.sw_components: dict = {}  # (Cube, i) -> degree-i part of that total class
+        self.restrictions: dict = {}  # Cube -> memo of invariants._restriction
 
     def trace(self, g: GroupElement) -> int:
         if g.home is not self.home:
@@ -88,7 +87,7 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
         if emb is None:
             raise ValueError(f"{rs.type_spec} has no subsystem of type {sub}")
         sub = emb
-    engine = MaskEngine(rs)
+    engine = _mask_engine(rs)
     orbit = engine.bit_matrix(engine.orbit(engine.rows([sub.positive_closure_mask()]))[0])
     P = rs.n_positive
 

@@ -277,7 +277,6 @@ class RootSystem:
         self._by_bytes = np.argsort(self._root_bytes)
         pos = self._icoord_mat[:P]
         dots = pos @ pos.T  # 4x the true inner products
-        self._pos_dots4 = dots
         norms = np.diag(dots)
         cart = 2 * dots  # cartan(i,j) = 2(ai,aj)/(aj,aj) = 2*dots/norms[j]
         if np.any(cart % norms[None, :]):

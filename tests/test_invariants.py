@@ -113,13 +113,6 @@ def test_top_coefficient_examples():
     assert top_coefficient(mixed) == BasePoly.t_power(3)
 
 
-def test_degree_bookkeeping_of_components():
-    elem = CubeClassElement(2, {0b11: 0b1, 0b01: 0b10, 0b00: 0b100})
-    # degrees: |{1,2}|+0 = 2, |{1}|+1 = 2, 0+2 = 2 -> all degree 2
-    assert elem.homogeneous_component(2) == elem
-    assert not elem.homogeneous_component(1)
-
-
 # -- restriction --------------------------------------------------------------------
 
 def test_trivial_restriction_is_one(system):
@@ -180,6 +173,8 @@ def test_restriction_rejects_foreign_cube(system):
     from weylinv import Cube
     with pytest.raises(ValueError):
         restrict_to_cube(sw(coxeter_rep(rs), 1), Cube(other, (0,)))
+    with pytest.raises(ValueError):
+        pairing(sw(coxeter_rep(rs), 1), classify_involutions(other)[1])
 
 
 def test_multiplicity_rejects_corrupted_traces(system):
@@ -196,6 +191,37 @@ def test_multiplicity_rejects_corrupted_traces(system):
                               lambda g: 1 if g.is_identity() else 3)
     with pytest.raises(ValueError):
         character_multiplicities(negative, cube)
+
+
+def _power(a, m):
+    out = CubeClassElement.one(a.rank)
+    for bit in bin(m)[2:]:
+        out = out * out
+        if bit == "1":
+            out = out * a
+    return out
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
+def test_total_class_is_the_product_over_characters(system, name):
+    # the closed form against prod_E (1 + L_E)^(m_E), multiplied out in the
+    # cube algebra, with L_E the sum of the generators in E
+    from weylinv import Cube, GapBudget, Representation, base_catalogue
+    rs = system(name)
+    reps, _ = base_catalogue(rs, GapBudget())
+    for cube in enumerate_cubes(rs):
+        n = len(cube)
+        for rep in reps:
+            want = CubeClassElement.one(n)
+            for eps, m in enumerate(character_multiplicities(rep, cube)):
+                line = sum((gen(n, i) for i in range(n) if eps >> i & 1),
+                           CubeClassElement(n))
+                want = want * _power(CubeClassElement.one(n) + line, m)
+            assert total_class(rep, cube) == want
+    for value in (2, 3):  # a fractional and a negative multiplicity
+        bogus = Representation("bogus", 1, rs, lambda g: 1 if g.is_identity() else value)
+        with pytest.raises(ValueError):
+            total_class(bogus, Cube(rs, (0,)))
 
 
 # -- pairing ------------------------------------------------------------------------
@@ -344,6 +370,29 @@ def test_separation_report_flags_hard_pairs(system):
         assert set(report.unseparated) == hard
         second = sw_separation_report(classes, reps)
         assert second == report
+
+
+def test_separation_witnesses(system):
+    from weylinv import GapBudget, base_catalogue, sw_separation_report
+    conj_a1, conj_d2 = "sw(conj[A1],1)", "sw(conj[D2],2)"
+    expected = {
+        "D4": (("d2.0", "d2.1", conj_d2), ("d2.0", "d2.2", conj_d2),
+               ("d2.1", "d2.2", "sw(conj[D3],2)")),
+        "D6": (("d2.0", "d2.1", conj_d2), ("d3.0", "d3.2", f"{conj_d2}*sw(cox,1)"),
+               ("d3.1", "d3.2", f"{conj_d2}*sw(cox,1)"),
+               ("d4.0", "d4.1", f"{conj_d2}*sw(cox,2)")),
+        "B4": (("d1.0", "d1.1", conj_a1), ("d2.0", "d2.2", f"{conj_a1}*sw(cox,1)"),
+               ("d2.1", "d2.2", f"{conj_a1}*sw(cox,1)"),
+               ("d2.0", "d2.1", "sw(permroots,2)"),
+               ("d3.0", "d3.1", f"{conj_a1}*sw(cox,2)")),
+        "F4": (("d1.0", "d1.1", conj_a1), ("d2.0", "d2.1", f"{conj_a1}*sw(cox,1)"),
+               ("d3.0", "d3.1", f"{conj_a1}*sw(cox,2)")),
+    }
+    for name, separated in expected.items():
+        rs = system(name)
+        reps, _ = base_catalogue(rs, GapBudget())
+        report = sw_separation_report(classify_involutions(rs), reps)
+        assert report.separated == separated
 
 
 def _b3_conj_a1_pair(rs):

@@ -507,6 +507,7 @@ def test_classification_is_the_same_on_a_fresh_system(system):
 
 
 def test_memo_is_per_system(system):
+    from weylinv.involutions import _mask_engine
     calls = []
 
     @per_system
@@ -518,6 +519,6 @@ def test_memo_is_per_system(system):
     assert probe(rs) is probe(rs)
     assert probe(fresh) is not probe(rs)
     assert calls == [rs, fresh]
-    for fn in (classify_involutions, classify_cubes, stab_chain):
+    for fn in (classify_involutions, classify_cubes, stab_chain, _mask_engine):
         assert fn(rs) is fn(rs)
         assert fn(fresh) is not fn(rs)
