@@ -10,12 +10,15 @@ One orbit engine does every conjugacy computation on such masks, held as
 numpy rows of 64-bit words, most significant word first.  A permutation of
 the roots acts through per-byte lookup tables (the image of a row is the sum
 of one table entry per byte), and so does a 64-bit key per mask, the wrapping
-sum of fixed-seed keys of its bits; one table per simple reflection yields
-the image rows and their keys.  An orbit is one labelled breadth-first
-search: images are looked up by key in the two neighbouring levels only,
-every key match is compared row by row (so two masks sharing a key raise
-InternalError instead of merging two orbits), and a union-find over the seeds
-labels the orbits.  The minimal row of each label is its representative.
+sum of fixed-seed keys of its bits; one fused table yields the image rows and
+their keys under every simple reflection at once.  An orbit is one labelled
+breadth-first search.  Each new mask records the reflections that reached it
+from the level before, so its images under them are known to lie there and
+are skipped; the others are looked up by key in the current level only.
+Every key match and every repeated key is compared row by row, and a last
+pass checks that keys are distinct across levels, so two masks sharing a key
+raise InternalError instead of merging two orbits.  A union-find over the
+seeds labels the orbits; the minimal row of each label is its representative.
 
 Involutions and cubes are never walked one by one.  Each degree layer of
 involutions is the orbit of every class representative of the degree below
@@ -64,9 +67,10 @@ class MaskEngine:
     """Permutations of the positive roots acting on packed bitmask rows.
 
     A row is `nwords` little-endian 64-bit words, most significant first, so
-    byte j of a row's byte view holds mask bits base(j) .. base(j) + 7.
-    `generators` holds the byte tables of the simple reflections, which give
-    the image rows followed by a column of their keys.
+    byte j of a row's byte view holds mask bits base(j) .. base(j) + 7.  One
+    fused byte table holds, for every simple reflection in turn, the image
+    rows followed by a column of their keys; `generators[g]` is the column
+    block of reflection g, a view into it.
     """
 
     def __init__(self, rs: RootSystem):
@@ -79,20 +83,27 @@ class MaskEngine:
         src = base[self._bytes, None] + np.arange(8)
         self._valid = (src < P)[:, :, None]
         self._src = np.where(src < P, src, 0)
-        self._byte_bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint64)
         per_bit = np.hstack([self.rows([1 << i for i in range(P)]), _bit_keys(P)[:, None]])
         self._key_tables = self._byte_tables(per_bit[:, -1:])
-        self.generators = [self._byte_tables(per_bit[rs.positive_perm(p)])
-                           for p in rs.simple_reflection_perms()]
+        perms = [rs.positive_perm(p) for p in rs.simple_reflection_perms()]
+        self.fused = self._byte_tables(np.hstack([per_bit[perm] for perm in perms]))
+        width = self.nwords + 1
+        self.generators = [self.fused[:, :, g * width:(g + 1) * width]
+                           for g in range(len(perms))]
 
     def _byte_tables(self, per_bit: np.ndarray) -> np.ndarray:
-        """Entry [j, v]: wrapping sum of per_bit over the bits v sets in byte j."""
+        """Entry [j, v]: wrapping sum of per_bit over the bits v sets in byte j,
+        built by doubling: the entries with top bit b are those below plus bit b."""
         vals = per_bit[self._src] * self._valid
-        return (self._byte_bits[None, :, :, None] * vals[:, None]).sum(axis=2)
+        tables = np.zeros((len(self._bytes), 256, per_bit.shape[1]), dtype=_WORD)
+        for b in range(8):
+            tables[:, 1 << b:2 << b] = tables[:, :1 << b] + vals[:, b, None]
+        return tables
 
     def apply(self, rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """Sum of one table entry per byte of each row: the image rows and
-        keys under a generator's tables, the keys under the key tables."""
+        keys under a generator's tables (under every generator, side by side,
+        for the fused table), the keys under the key tables."""
         view = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
         acc = np.zeros((len(rows), tables.shape[2]), dtype=_WORD)
         for j, table in zip(self._bytes, tables):
@@ -119,29 +130,44 @@ class MaskEngine:
     def orbit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every mask in the orbits of the given rows, as (rows, keys, labels)
         sorted by value; rows share a label exactly when they share an orbit.
-        The generators are involutions, so the images of level d lie in levels
-        d-1, d and d+1: look them up in d-1 and d; the rest, made distinct, is
-        d+1.  A label is the least seed joined to the row's seed where two met."""
+
+        Level d holds the masks d reflections from the nearest seed.  Each row
+        records its parents, the reflections that reached it from level d-1.
+        The reflections are involutions, so s x lies in level d-1 exactly when
+        s is a parent of x: those images are dropped, the rest are looked up
+        in level d, and what is left, made distinct, is level d+1 (a repeated
+        image ORs its parents).  A dropped image joins no new seeds: the
+        merge that made x joined them.  A label is the least seed joined to
+        the row's seed where two met."""
+        ngens, width = len(self.generators), self.nwords + 1
         images = np.hstack([rows, self.keys(rows)[:, None]])
         seeds = root = np.arange(len(rows))
+        gens = np.full(len(rows), ngens)  # a seed has no parent reflection
         levels: list = []  # (rows, keys, seeds) of each level
         while len(images):
             order = np.argsort(images[:, -1])
-            keys, seeds = images[order, -1], seeds[order]
-            for level_rows, level_keys, level_seeds in levels[-2:]:
+            keys, seeds, gens = images[order, -1], seeds[order], gens[order]
+            if levels:
+                level_rows, level_keys, level_seeds = levels[-1]
                 pos = np.minimum(np.searchsorted(level_keys, keys), len(level_keys) - 1)
                 hit = level_keys[pos] == keys
                 _no_collision(np.array_equal(level_rows[pos[hit]], images[order[hit], :-1]))
                 root = _join(root, seeds[hit], level_seeds[pos[hit]])
-                order, keys, seeds = order[~hit], keys[~hit], seeds[~hit]
+                order, keys, seeds, gens = order[~hit], keys[~hit], seeds[~hit], gens[~hit]
             images = images[order, :-1]
             again = keys[1:] == keys[:-1]
             _no_collision(np.array_equal(images[1:][again], images[:-1][again]))
             root = _join(root, seeds[1:][again], seeds[:-1][again])
+            if len(keys) and len(levels) > self.nbits:  # no reduced word is longer
+                raise InternalError("orbit search went past the longest element")
             first = np.r_[True, ~again][:len(keys)]
-            levels.append((images[first], keys[first], seeds[first]))
-            images = np.concatenate([self.apply(levels[-1][0], g) for g in self.generators])
-            seeds = np.tile(levels[-1][2], len(self.generators))
+            level = images[first], keys[first], seeds[first]
+            levels.append(level)
+            parents = np.zeros((len(level[0]), ngens + 1), dtype=bool)
+            parents[np.cumsum(first) - 1, gens] = True
+            fresh = np.flatnonzero(~parents[:, :ngens])  # image g of row i: i * ngens + g
+            images = self.apply(level[0], self.fused).reshape(-1, width)[fresh]
+            seeds, gens = level[2][fresh // ngens], fresh % ngens
         rows, keys, seeds = (np.concatenate(part) for part in zip(*levels))
         _no_collision(np.all(np.diff(np.sort(keys)) != 0))  # distinct across levels too
         order = np.lexsort(rows.T[::-1])

@@ -179,7 +179,17 @@ def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representati
     plus = np.array([rs.index_of(row) for row in unit + other])
     minus = np.array([rs.index_of(row) for row in unit - other])
 
+    memo: dict[bytes, tuple[int, int]] = {}  # both halves read one pass per element
+
     def char_pair(g: GroupElement) -> tuple[int, int]:
+        key = g.images.tobytes()
+        if key not in memo:
+            if len(memo) >= 1 << rs.rank:  # the elements of a largest cube
+                memo.clear()
+            memo[key] = subset_traces(g)
+        return memo[key]
+
+    def subset_traces(g: GroupElement) -> tuple[int, int]:
         perm, sign = _signed_axis_action(rs, g, plus, minus)
         plain = 0
         twisted = 0

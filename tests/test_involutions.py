@@ -371,42 +371,63 @@ def test_engine_cube_classes_match_orbit_partition(system, name):
             for c in classify_cubes(rs)] == oracle
 
 
-def test_engine_packing_across_words():
+def check_packing(name, words):
     from weylinv.involutions import MaskEngine
-    rs = build_root_system("E8")  # 120 positive roots: two words per mask
+    rs = build_root_system(name)
     engine = MaskEngine(rs)
+    assert engine.nwords == words
     rng = random.Random(7)
     masks = [rng.getrandbits(rs.n_positive) for _ in range(40)]
     rows = engine.rows(masks)
     assert [engine.mask(row) for row in rows] == masks
     assert engine.bit_matrix(rows).tolist() == \
         [[bool(m >> i & 1) for i in range(rs.n_positive)] for m in masks]
-    for tables, act in zip(engine.generators, python_mask_actions(rs)):
+    fused = engine.apply(rows, engine.fused).reshape(len(rows), -1, words + 1)
+    actions = python_mask_actions(rs)
+    assert len(engine.generators) == len(actions) == fused.shape[1]
+    for g, (tables, act) in enumerate(zip(engine.generators, actions)):
+        assert np.shares_memory(tables, engine.fused)  # a view, not a copy
         images = engine.apply(rows, tables)
+        assert np.array_equal(images, fused[:, g])
         assert [engine.mask(row) for row in images[:, :-1]] == [act(m) for m in masks]
         assert images[:, -1].tolist() == engine.keys(images[:, :-1]).tolist()
 
 
-@pytest.mark.parametrize("name", ["B3", "E6"])
+def test_engine_packing_across_words():
+    check_packing("E8", 2)  # 120 positive roots
+
+
+def test_engine_packing_across_three_words():
+    check_packing("D12", 3)  # 132 positive roots
+
+
+@pytest.mark.parametrize("name", RANK_LE_4 + ["A1xA2", "E6"])
 def test_engine_orbit_labels_match_orbit_partition(name):
     from weylinv import orbit_partition
     from weylinv.involutions import MaskEngine, MaskSet
     rs = build_root_system(name)
-    oracle = orbit_partition([c.mask for c in enumerate_cubes(rs)],
-                             python_mask_actions(rs))
+    actions = python_mask_actions(rs)
+    oracle = orbit_partition([c.mask for c in enumerate_cubes(rs)], actions)
     rng = random.Random(5)
     seeds = [(i, mask) for i, orbit in enumerate(oracle)
              for mask in rng.sample(orbit, min(3, len(orbit)))]
+    for i, orbit in enumerate(oracle):  # one orbit seeded 0, 1 and 2 reflections away
+        near = actions[0](orbit[0])
+        seeds += [(i, orbit[0]), (i, near), (i, actions[-1](near))]
+    seeds += rng.sample(seeds, len(seeds) // 4)  # and masks seeded twice
     rng.shuffle(seeds)
     engine = MaskEngine(rs)
     rows, keys, labels = engine.orbit(engine.rows([mask for _, mask in seeds]))
     assert sorted(engine.mask(row) for row in rows) == \
         sorted(mask for orbit in oracle for mask in orbit)
+    assert [engine.mask(row) for row in rows] == sorted(engine.mask(row) for row in rows)
+    assert keys.tolist() == engine.keys(rows).tolist()
     found = MaskSet(engine, rows, keys).find(engine.rows([mask for _, mask in seeds]))
     label_of = {}
     for (orbit, _), label in zip(seeds, labels[found].tolist()):
         assert label_of.setdefault(orbit, label) == label  # one label per orbit
-    assert len(set(label_of.values())) == len(oracle)  # distinct across orbits
+    assert label_of == {orbit: min(j for j, (o, _) in enumerate(seeds) if o == orbit)
+                        for orbit in label_of}  # the least seed of the orbit
     sizes = {label: int(n) for label, n in zip(*np.unique(labels, return_counts=True))}
     assert all(sizes[label_of[i]] == len(orbit) for i, orbit in enumerate(oracle))
 
@@ -457,6 +478,30 @@ def test_engine_rejects_key_collision_across_levels(monkeypatch):
     engine = MaskEngine(rs)
     with pytest.raises(InternalError, match="share a 64-bit key"):
         engine.orbit(engine.rows([0b1]))
+
+
+def test_engine_rejects_key_collision_with_the_current_level(monkeypatch):
+    from weylinv import InternalError
+    from weylinv import involutions
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("A2")
+    assert {act(0b001) for act in python_mask_actions(rs)} == {0b001, 0b100}
+    keys = involutions._bit_keys(rs.n_positive)
+    keys[2] = keys[0]  # the one level-1 mask shares the key of the seed
+    monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
+    engine = MaskEngine(rs)
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        engine.orbit(engine.rows([0b001]))
+
+
+def test_engine_stops_past_the_longest_element():
+    from weylinv import InternalError
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("A4")
+    engine = MaskEngine(rs)
+    engine.nbits = 2  # as if no reduced word were longer than two reflections
+    with pytest.raises(InternalError, match="past the longest element"):
+        engine.orbit(engine.rows([0b1]))  # some roots are three reflections from root 0
 
 
 @pytest.mark.parametrize("amb,sub", [(amb, sub) for amb, sub, _ in REDUCTION_PAIRS])

@@ -215,3 +215,18 @@ def test_signed_axis_action_matches_the_root_action(system):
         assert np.array_equal(coords[g.images], moved)
     with pytest.raises(InternalError, match="monomially"):
         _signed_axis_action(rs, identity(rs), plus, plus)
+
+
+def test_half_subset_characters_take_one_pass_per_element(system, monkeypatch):
+    from weylinv import reps
+    rs = system("D4")
+    elements = enumerate_group(rs)[:1 << rs.rank]  # as many as a largest cube has
+    apart = [tuple(rep.trace(g) for rep in reps.half_subset_split_reps(rs))
+             for g in elements]  # a fresh pair per element shares nothing
+    calls = []
+    monkeypatch.setattr(reps, "_signed_axis_action",
+                        lambda *args: calls.append(1) or _signed_axis_action(*args))
+    plus, minus = reps.half_subset_split_reps(rs)
+    together = [plus.trace(g) for g in elements]  # as a restriction reads them
+    assert list(zip(together, [minus.trace(g) for g in elements])) == apart
+    assert len(calls) == len(elements)
