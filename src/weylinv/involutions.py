@@ -7,10 +7,11 @@ orthogonal positive roots) are keyed by their bitmask as well.  Conjugation
 acts on both by permuting mask bits.
 
 One orbit engine does every conjugacy computation on such masks, held as
-numpy rows of 64-bit words, most significant word first.  A permutation of
-the roots acts through per-byte lookup tables (the image of a row is the sum
-of one table entry per byte), and so does a 64-bit key per mask, the wrapping
-sum of fixed-seed keys of its bits; one fused table yields the image rows and
+numpy rows of little-endian 64-bit words, least significant word first, so
+byte j of a row holds mask bits 8j .. 8j + 7.  A permutation of the roots
+acts through per-byte lookup tables (the image of a row is the sum of one
+table entry per byte), and so does a 64-bit key per mask, the wrapping sum
+of fixed-seed keys of its bits; one fused table yields the image rows and
 their keys under every simple reflection at once.  An orbit is one labelled
 breadth-first search.  Each new mask records the reflections that reached it
 from the level before, so its images under them are known to lie there and
@@ -18,7 +19,8 @@ are skipped; the others are looked up by key in the current level only.
 Every key match and every repeated key is compared row by row, and a last
 pass checks that keys are distinct across levels, so two masks sharing a key
 raise InternalError instead of merging two orbits.  A union-find over the
-seeds labels the orbits; the minimal row of each label is its representative.
+seeds labels the orbits.  An orbit comes out as its rows and their labels,
+in no particular order; the least row of each label is its representative.
 
 Involutions and cubes are never walked one by one.  Each degree layer of
 involutions is the orbit of every class representative of the degree below
@@ -66,47 +68,41 @@ def _bit_keys(nbits: int) -> np.ndarray:
 class MaskEngine:
     """Permutations of the positive roots acting on packed bitmask rows.
 
-    A row is `nwords` little-endian 64-bit words, most significant first, so
-    byte j of a row's byte view holds mask bits base(j) .. base(j) + 7.  One
-    fused byte table holds, for every simple reflection in turn, the image
-    rows followed by a column of their keys; `generators[g]` is the column
-    block of reflection g, a view into it.
+    A row is `nwords` little-endian 64-bit words, least significant first, so
+    byte j of a row's byte view holds mask bits 8j .. 8j + 7.  The fused byte
+    table holds one block of nwords + 1 columns per simple reflection, in
+    order: the image row, then its key.
     """
 
     def __init__(self, rs: RootSystem):
         P = rs.n_positive
         self.nbits = P
         self.nwords = (P + 63) // 64
-        j = np.arange(8 * self.nwords)
-        base = (self.nwords - 1 - j // 8) * 64 + (j % 8) * 8
-        self._bytes = np.flatnonzero(base < P)
-        src = base[self._bytes, None] + np.arange(8)
-        self._valid = (src < P)[:, :, None]
-        self._src = np.where(src < P, src, 0)
         per_bit = np.hstack([self.rows([1 << i for i in range(P)]), _bit_keys(P)[:, None]])
         self._key_tables = self._byte_tables(per_bit[:, -1:])
         perms = [rs.positive_perm(p) for p in rs.simple_reflection_perms()]
         self.fused = self._byte_tables(np.hstack([per_bit[perm] for perm in perms]))
-        width = self.nwords + 1
-        self.generators = [self.fused[:, :, g * width:(g + 1) * width]
-                           for g in range(len(perms))]
 
     def _byte_tables(self, per_bit: np.ndarray) -> np.ndarray:
         """Entry [j, v]: wrapping sum of per_bit over the bits v sets in byte j,
-        built by doubling: the entries with top bit b are those below plus bit b."""
-        vals = per_bit[self._src] * self._valid
-        tables = np.zeros((len(self._bytes), 256, per_bit.shape[1]), dtype=_WORD)
+        built by doubling: the entries with top bit b are those below plus bit b.
+        Bytes past the last mask bit are always zero and get no table."""
+        nbytes = (self.nbits + 7) // 8
+        vals = np.zeros((8 * nbytes, per_bit.shape[1]), dtype=_WORD)
+        vals[:len(per_bit)] = per_bit
+        vals = vals.reshape(nbytes, 8, -1)
+        tables = np.zeros((nbytes, 256, per_bit.shape[1]), dtype=_WORD)
         for b in range(8):
             tables[:, 1 << b:2 << b] = tables[:, :1 << b] + vals[:, b, None]
         return tables
 
     def apply(self, rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """Sum of one table entry per byte of each row: the image rows and
-        keys under a generator's tables (under every generator, side by side,
-        for the fused table), the keys under the key tables."""
+        keys under every simple reflection, side by side, for the fused
+        table, the keys for the key tables."""
         view = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
         acc = np.zeros((len(rows), tables.shape[2]), dtype=_WORD)
-        for j, table in zip(self._bytes, tables):
+        for j, table in enumerate(tables):
             acc += table.take(view[:, j], axis=0)
         return acc
 
@@ -114,22 +110,22 @@ class MaskEngine:
         return self.apply(rows, self._key_tables)[:, 0]
 
     def rows(self, masks: Sequence[int]) -> np.ndarray:
-        data = b"".join(m.to_bytes(8 * self.nwords, "big") for m in masks)
-        return np.frombuffer(data, dtype=">u8").reshape(-1, self.nwords).astype(_WORD)
+        data = b"".join(m.to_bytes(8 * self.nwords, "little") for m in masks)
+        return np.frombuffer(data, dtype=_WORD).reshape(-1, self.nwords)
 
     def mask(self, row: np.ndarray) -> int:
-        return int.from_bytes(row.astype(">u8").tobytes(), "big")
+        return int.from_bytes(np.asarray(row, dtype=_WORD).tobytes(), "little")
 
     def bit_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """Boolean matrix whose column i is mask bit i of each row."""
+        """Boolean matrix whose column i is mask bit i of each row, stored
+        column by column: the permutation traces gather columns."""
         bits = np.unpackbits(np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8),
                              axis=1, bitorder="little")
-        i = np.arange(self.nbits)
-        return bits[:, 64 * (self.nwords - 1 - i // 64) + i % 64].astype(bool)
+        return bits[:, :self.nbits].astype(bool, order="F")
 
-    def orbit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every mask in the orbits of the given rows, as (rows, keys, labels)
-        sorted by value; rows share a label exactly when they share an orbit.
+    def orbit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every mask in the orbits of the given rows, as (rows, labels) in no
+        particular order; rows share a label exactly when they share an orbit.
 
         Level d holds the masks d reflections from the nearest seed.  Each row
         records its parents, the reflections that reached it from level d-1.
@@ -139,7 +135,8 @@ class MaskEngine:
         image ORs its parents).  A dropped image joins no new seeds: the
         merge that made x joined them.  A label is the least seed joined to
         the row's seed where two met."""
-        ngens, width = len(self.generators), self.nwords + 1
+        width = self.nwords + 1
+        ngens = self.fused.shape[2] // width
         images = np.hstack([rows, self.keys(rows)[:, None]])
         seeds = root = np.arange(len(rows))
         gens = np.full(len(rows), ngens)  # a seed has no parent reflection
@@ -170,8 +167,7 @@ class MaskEngine:
             seeds, gens = level[2][fresh // ngens], fresh % ngens
         rows, keys, seeds = (np.concatenate(part) for part in zip(*levels))
         _no_collision(np.all(np.diff(np.sort(keys)) != 0))  # distinct across levels too
-        order = np.lexsort(rows.T[::-1])
-        return rows[order], keys[order], root[seeds[order]]
+        return rows, root[seeds]
 
 
 @per_system
@@ -197,27 +193,13 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _orbit_classes(engine: MaskEngine, rows: np.ndarray, labels: np.ndarray) -> list:
     """(size, minimal mask, label) of each orbit, sorted, from an orbit's output."""
-    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
-    return sorted((int(n), engine.mask(rows[i]), int(labels[i])) for i, n in zip(first, sizes))
-
-
-class MaskSet:
-    """Distinct masks with exact lookup of their positions."""
-
-    def __init__(self, engine: MaskEngine, rows: np.ndarray, keys: np.ndarray | None = None):
-        self.engine = engine
-        self.rows = rows
-        self._keys = engine.keys(rows) if keys is None else keys
-        self._by_key = np.argsort(self._keys)
-
-    def find(self, rows: np.ndarray) -> np.ndarray:
-        """Positions of the given rows in the set; a missing row is an error."""
-        pos = np.searchsorted(self._keys, self.engine.keys(rows), sorter=self._by_key)
-        idx = self._by_key[np.minimum(pos, len(self._keys) - 1)]
-        if not np.array_equal(self.rows[idx], rows):
-            raise InternalError(
-                "orbit action left the mask set; enumeration is incomplete")
-        return idx
+    found = []
+    for label, size in zip(*np.unique(labels, return_counts=True)):
+        least = rows[labels == label]
+        for w in reversed(range(engine.nwords)):  # the most significant word first
+            least = least[least[:, w] == least[:, w].min()]
+        found.append((int(size), engine.mask(least[0]), int(label)))
+    return sorted(found)
 
 
 # -- cubes ------------------------------------------------------------------
@@ -411,7 +393,7 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
     candidates = [0]
     degree = 0
     while candidates:
-        rows, _, labels = engine.orbit(engine.rows(candidates))
+        rows, labels = engine.orbit(engine.rows(candidates))
         candidates = []
         for ordinal, (size, mask, _) in enumerate(_orbit_classes(engine, rows, labels)):
             cube = Cube(rs, _greedy_roots(rs, mask))
@@ -457,8 +439,8 @@ def _orthogonal_to(rs: RootSystem, roots: Sequence[int]) -> int:
 
 @per_system
 def _cube_orbits(rs: RootSystem) -> tuple[list, list]:
-    """Each rank's cubes with their orbit labels, and (rank, size, min mask,
-    label) of each class in class order.
+    """Each rank's cube rows with their orbit labels, and (rank, size, min
+    mask, label) of each class in class order.
 
     Rank k+1 is the orbit of each rank-k class representative plus each
     positive root orthogonal to it: conjugating a rank-k part of a cube to its
@@ -466,10 +448,10 @@ def _cube_orbits(rs: RootSystem) -> tuple[list, list]:
     engine = _mask_engine(rs)
     layers, classes, candidates, seeds = [], [], [0], 0
     while candidates:
-        rows, keys, labels = engine.orbit(engine.rows(candidates))
+        rows, labels = engine.orbit(engine.rows(candidates))
         labels += seeds  # unique across ranks
         seeds += len(candidates)
-        layers.append((MaskSet(engine, rows, keys), labels))
+        layers.append((rows, labels))
         found = _orbit_classes(engine, rows, labels)
         classes += [(mask.bit_count(), size, mask, label) for size, mask, label in found]
         candidates = [mask | 1 << b for _, mask, _ in found
@@ -523,10 +505,19 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
         raise InternalError("subgroup order does not divide the group order")
     index = total // sub_order
     layers, classes = _cube_orbits(rs)
-    masks = list(_clique_masks(rs, sub.positive_closure_mask()))
-    inside, ranks = _mask_engine(rs).rows(masks), np.array([mask.bit_count() for mask in masks])
-    hit = {label for rank, (cubes, labels) in enumerate(layers)
-           for label in labels[cubes.find(inside[ranks == rank])].tolist()}
+    within = sub.positive_closure_mask()
+    outside = ~_mask_engine(rs).rows([within])[0]
+    hit, found = set(), 0
+    for rows, labels in layers:
+        inside = ~(rows & outside).any(axis=1)
+        hit.update(labels[inside].tolist())
+        found += int(np.count_nonzero(inside))
+    # The layer rows are distinct cubes, so those inside the subsystem are
+    # some of its cliques; as many as there are cliques means all of them.
+    if found != sum(1 for _ in _clique_masks(rs, within)):
+        raise InternalError(
+            "a cube of the subsystem is missing from the cube layers; "
+            "enumeration is incomplete")
     rows = tuple((rank, size, label in hit) for rank, size, _, label in classes)
     all_covered = all(covered for _, _, covered in rows)
     odd = index % 2 == 1

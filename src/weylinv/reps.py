@@ -248,8 +248,6 @@ def character_gap(rep: Representation, cls_a: InvolutionClass,
 @dataclass(frozen=True)
 class GapBudget:
     max_exterior: int = 4
-    include_sums: bool = True
-    include_tensors: bool = True
     max_orbit: int = 50000
 
 
@@ -299,13 +297,11 @@ def default_catalogue(rs: RootSystem, budget: GapBudget = GapBudget(),
     if base is None:
         base, _ = base_catalogue(rs, budget)
     out = list(base)
-    if budget.include_sums:
-        for i in range(len(base)):
-            for j in range(i, len(base)):
-                out.append(direct_sum(base[i], base[j]))
-    if budget.include_tensors:
-        for rep in base:
-            out.append(tensor(rep, rep))
+    for i in range(len(base)):
+        for j in range(i, len(base)):
+            out.append(direct_sum(base[i], base[j]))
+    for rep in base:
+        out.append(tensor(rep, rep))
     return out
 
 

@@ -160,15 +160,14 @@ def _unit(dim: int, i: int, vi: int, j: int | None = None, vj: int = 0) -> list[
 class Root:
     """One root: exact coordinates plus its expansion in the simple basis."""
 
-    __slots__ = ("icoords", "scoords", "index", "positive", "_rs")
+    __slots__ = ("icoords", "scoords", "index", "positive")
 
     def __init__(self, icoords: tuple[int, ...], scoords: tuple[int, ...],
-                 index: int, positive: bool, rs: "RootSystem"):
+                 index: int, positive: bool):
         self.icoords = icoords      # doubled integer coordinates
         self.scoords = scoords      # integer coordinates in the simple basis
         self.index = index
         self.positive = positive
-        self._rs = rs
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -259,11 +258,11 @@ class RootSystem:
         self.n_positive = P = len(positives)
         self.roots: list[Root] = []
         for idx, (_, ic, sc) in enumerate(positives):
-            self.roots.append(Root(ic, sc, idx, True, self))
+            self.roots.append(Root(ic, sc, idx, True))
         for idx, (_, ic, sc) in enumerate(positives):
             nic = tuple(-v for v in ic)
             nsc = tuple(-v for v in sc)
-            self.roots.append(Root(nic, nsc, P + idx, False, self))
+            self.roots.append(Root(nic, nsc, P + idx, False))
         del self._raw
 
         self._index_of = {r.icoords: r.index for r in self.roots}
@@ -410,7 +409,11 @@ class SubsystemEmbedding:
     sub_simple_roots: tuple[int, ...]
 
     def closure(self) -> tuple[int, ...]:
-        """All ambient root indices of the subsystem generated by the chosen roots."""
+        """All ambient root indices of the subsystem generated by the chosen roots.
+
+        Every root of a root system is a Weyl group image of a simple root, so
+        the orbit of the chosen roots under their own reflections is all of it.
+        """
         rs = self.ambient
         seen = set(self.sub_simple_roots)
         seen |= {rs.negative_index(i) for i in self.sub_simple_roots}
@@ -424,9 +427,6 @@ class SubsystemEmbedding:
                     if img not in seen:
                         seen.add(img)
                         new.append(img)
-            # reflections in newly found roots belong to the subsystem too
-            for idx in new:
-                gens.append(rs.reflection_perm(idx))
             frontier = new
         return tuple(sorted(seen))
 

@@ -379,16 +379,18 @@ def check_packing(name, words):
     rng = random.Random(7)
     masks = [rng.getrandbits(rs.n_positive) for _ in range(40)]
     rows = engine.rows(masks)
+    assert rows.astype("<u8").tobytes() == \
+        b"".join(m.to_bytes(8 * words, "little") for m in masks)  # byte j: bits 8j..8j+7
     assert [engine.mask(row) for row in rows] == masks
-    assert engine.bit_matrix(rows).tolist() == \
+    bits = engine.bit_matrix(rows)
+    assert bits.flags.f_contiguous  # the permutation traces gather columns
+    assert bits.tolist() == \
         [[bool(m >> i & 1) for i in range(rs.n_positive)] for m in masks]
     fused = engine.apply(rows, engine.fused).reshape(len(rows), -1, words + 1)
     actions = python_mask_actions(rs)
-    assert len(engine.generators) == len(actions) == fused.shape[1]
-    for g, (tables, act) in enumerate(zip(engine.generators, actions)):
-        assert np.shares_memory(tables, engine.fused)  # a view, not a copy
-        images = engine.apply(rows, tables)
-        assert np.array_equal(images, fused[:, g])
+    assert len(actions) == fused.shape[1]
+    for g, act in enumerate(actions):
+        images = fused[:, g]
         assert [engine.mask(row) for row in images[:, :-1]] == [act(m) for m in masks]
         assert images[:, -1].tolist() == engine.keys(images[:, :-1]).tolist()
 
@@ -401,10 +403,34 @@ def test_engine_packing_across_three_words():
     check_packing("D12", 3)  # 132 positive roots
 
 
+@pytest.mark.parametrize("name,words", [("E8", 2), ("D12", 3)])
+def test_engine_least_row_across_words(name, words):
+    from weylinv.involutions import MaskEngine, _orbit_classes
+    rs = build_root_system(name)
+    engine = MaskEngine(rs)
+    assert engine.nwords == words
+    rng = random.Random(11)
+    # each upper word is drawn from three values, so rows often tie on the
+    # upper words and the least row is decided by a lower one
+    pools = [[rng.getrandbits(min(64, rs.n_positive - 64 * w)) for _ in range(3)]
+             for w in range(1, words)]
+    masks = list({rng.getrandbits(64) + sum(rng.choice(pool) << 64 * w
+                                            for w, pool in enumerate(pools, 1))
+                  for _ in range(120)})
+    rng.shuffle(masks)
+    rows = engine.rows(masks)
+    labels = np.array([rng.randrange(6) for _ in masks])
+    expected = sorted((int(np.count_nonzero(labels == label)),
+                       min(engine.mask(row) for row in rows[labels == label]), label)
+                      for label in set(labels.tolist()))
+    assert len(expected) > 1
+    assert _orbit_classes(engine, rows, labels) == expected
+
+
 @pytest.mark.parametrize("name", RANK_LE_4 + ["A1xA2", "E6"])
 def test_engine_orbit_labels_match_orbit_partition(name):
     from weylinv import orbit_partition
-    from weylinv.involutions import MaskEngine, MaskSet
+    from weylinv.involutions import MaskEngine
     rs = build_root_system(name)
     actions = python_mask_actions(rs)
     oracle = orbit_partition([c.mask for c in enumerate_cubes(rs)], actions)
@@ -417,12 +443,11 @@ def test_engine_orbit_labels_match_orbit_partition(name):
     seeds += rng.sample(seeds, len(seeds) // 4)  # and masks seeded twice
     rng.shuffle(seeds)
     engine = MaskEngine(rs)
-    rows, keys, labels = engine.orbit(engine.rows([mask for _, mask in seeds]))
+    rows, labels = engine.orbit(engine.rows([mask for _, mask in seeds]))
     assert sorted(engine.mask(row) for row in rows) == \
         sorted(mask for orbit in oracle for mask in orbit)
-    assert [engine.mask(row) for row in rows] == sorted(engine.mask(row) for row in rows)
-    assert keys.tolist() == engine.keys(rows).tolist()
-    found = MaskSet(engine, rows, keys).find(engine.rows([mask for _, mask in seeds]))
+    index = {engine.mask(row): i for i, row in enumerate(rows)}
+    found = [index[mask] for _, mask in seeds]
     label_of = {}
     for (orbit, _), label in zip(seeds, labels[found].tolist()):
         assert label_of.setdefault(orbit, label) == label  # one label per orbit
@@ -432,22 +457,26 @@ def test_engine_orbit_labels_match_orbit_partition(name):
     assert all(sizes[label_of[i]] == len(orbit) for i, orbit in enumerate(oracle))
 
 
-def test_engine_rejects_image_outside_the_set():
+def test_reduction_rejects_a_cube_missing_from_the_layers():
     from weylinv import InternalError
-    from weylinv.involutions import MaskEngine, MaskSet
-    rs = build_root_system("A2")
-    engine = MaskEngine(rs)
-    reflections = MaskSet(engine, engine.rows([0b001, 0b010]))  # 0b100 missing
-    images = [engine.apply(reflections.rows, g)[:, :-1] for g in engine.generators]
-    with pytest.raises(InternalError, match="left the mask set"):
-        for rows in images:
-            reflections.find(rows)
+    from weylinv.involutions import _cube_orbits, _mask_engine
+    rs = build_root_system("F4")  # not the shared system: its memo is altered
+    sub = find_subsystem(rs, "B4")
+    assert verify_reduction(rs, sub).passed
+    layers, _ = _cube_orbits(rs)
+    rows, labels = layers[2]
+    engine, within = _mask_engine(rs), sub.positive_closure_mask()
+    inside = [i for i, row in enumerate(rows) if engine.mask(row) & ~within == 0]
+    # a cube whose class another cube of the subsystem still hits
+    drop = next(i for i in inside if np.count_nonzero(labels[inside] == labels[i]) > 1)
+    layers[2] = np.delete(rows, drop, axis=0), np.delete(labels, drop)
+    with pytest.raises(InternalError, match="missing from the cube layers"):
+        verify_reduction(rs, sub)
 
 
 def test_engine_rejects_key_collision(monkeypatch):
     from weylinv import InternalError, conj_subsystem_rep
     from weylinv import involutions
-    from weylinv.involutions import MaskEngine, MaskSet
     monkeypatch.setattr(involutions, "_KEY_SEED", 0)  # every bit key is 0
     rs = build_root_system("A2")
     with pytest.raises(InternalError, match="share a 64-bit key"):
@@ -456,10 +485,6 @@ def test_engine_rejects_key_collision(monkeypatch):
         classify_cubes(rs)
     with pytest.raises(InternalError, match="share a 64-bit key"):
         conj_subsystem_rep(rs, "A1")
-    engine = MaskEngine(rs)
-    single = MaskSet(engine, engine.rows([0b001]))  # 0b010 has the same key
-    with pytest.raises(InternalError, match="left the mask set"):
-        single.find(engine.rows([0b010]))
 
 
 def test_engine_rejects_key_collision_across_levels(monkeypatch):
