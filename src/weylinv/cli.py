@@ -86,7 +86,8 @@ def _emit_json(data) -> None:
 # -- the expression mini-language ---------------------------------------------
 
 
-_TOKEN_RE = re.compile(r"\s*(sw|t|\d+|[A-Za-z][A-Za-z0-9]*|[()+*^,])")
+# whole identifiers, so triv1 is one name, not t and riv1; sw and t are keywords
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|[()+*^,])")
 
 MAX_EXPONENT = 64  # `^N` multiplies N times, so larger N is refused
 

@@ -194,11 +194,13 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _orbit_classes(engine: MaskEngine, rows: np.ndarray, labels: np.ndarray) -> list:
     """(size, minimal mask, label) of each orbit, sorted, from an orbit's output."""
     found = []
-    for label, size in zip(*np.unique(labels, return_counts=True)):
-        least = rows[labels == label]
+    order = np.argsort(labels, kind="stable")  # one sort; stable is linear on equal runs
+    for least in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        size, label = len(least), int(labels[least[0]])  # least: row indices of one label
         for w in reversed(range(engine.nwords)):  # the most significant word first
-            least = least[least[:, w] == least[:, w].min()]
-        found.append((int(size), engine.mask(least[0]), int(label)))
+            word = rows[least, w]
+            least = least[word == word.min()]
+        found.append((size, engine.mask(rows[least[0]]), label))
     return sorted(found)
 
 

@@ -5,6 +5,11 @@ R^{n+1}, B/C/D_n in R^n, E/F in R^8/R^4).  G2 is realized in R^4 so that all
 coordinates stay rational while short/long roots keep squared lengths 1 and 3.
 Internally every coordinate is stored doubled, as an integer, which makes all
 inner products exact integer arithmetic; the public API exposes Fractions.
+
+One numpy closure, `_close`, finds the roots of a system and of each
+subsystem level by level in simple-root coordinates.  One exact lookup maps
+coordinates back to root indices.  The P x P tables over positive roots are
+built only when a classification or a subsystem search first reads them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,25 +107,17 @@ def _check_factor(fam: str, rank: int) -> None:
         raise ValueError(f"G exists only for rank 2, got factor {name!r}")
 
 
-def _simple_roots_doubled(fam: str, rank: int) -> tuple[int, list[list[int]]]:
-    """Doubled integer coordinates of the simple roots of one factor.
-
-    Returns (ambient dimension, list of coordinate rows).
-    """
-    if fam == "A":
-        dim = rank + 1
-        rows = [_unit(dim, i, 2, i + 1, -2) for i in range(rank)]
-    elif fam in "BCD":
-        dim = rank
-        rows = [_unit(dim, i, 2, i + 1, -2) for i in range(rank - 1)]
-        if fam == "B":
-            rows.append(_unit(dim, rank - 1, 2))
-        elif fam == "C":
-            rows.append(_unit(dim, rank - 1, 4))
-        else:  # D, rank >= 2
-            rows.append(_unit(dim, rank - 2, 2, rank - 1, 2))
-    elif fam == "E":
-        dim = 8
+def _simple_roots_doubled(fam: str, rank: int) -> np.ndarray:
+    """Doubled integer coordinates of the simple roots of one factor, one row each."""
+    if fam in "ABCD":  # e_i - e_{i+1}; the last row of B is already e_n
+        dim = rank + 1 if fam == "A" else rank
+        rows = 2 * (np.eye(rank, dim, dtype=np.int64) - np.eye(rank, dim, 1, dtype=np.int64))
+        if fam == "C":
+            rows[-1, -1] = 4  # 2e_n
+        elif fam == "D":
+            rows[-1, -2] = 2  # e_{n-1} + e_n
+        return rows
+    if fam == "E":
         e8 = [
             [1, -1, -1, -1, -1, -1, -1, 1],
             [2, 2, 0, 0, 0, 0, 0, 0],
@@ -131,30 +128,89 @@ def _simple_roots_doubled(fam: str, rank: int) -> tuple[int, list[list[int]]]:
             [0, 0, 0, 0, -2, 2, 0, 0],
             [0, 0, 0, 0, 0, -2, 2, 0],
         ]
-        rows = e8[:rank]
-    elif fam == "F":
-        dim = 4
-        rows = [
+        return np.array(e8[:rank], dtype=np.int64)
+    if fam == "F":
+        return np.array([
             [0, 2, -2, 0],
             [0, 0, 2, -2],
             [0, 0, 0, 2],
             [1, -1, -1, -1],
-        ]
-    else:  # G2: short (1,0,0,0), long (-3/2,1/2,1/2,1/2); lengths 1 and 3
-        dim = 4
-        rows = [
-            [2, 0, 0, 0],
-            [-3, 1, 1, 1],
-        ]
-    return dim, rows
+        ], dtype=np.int64)
+    # G2: short (1,0,0,0), long (-3/2,1/2,1/2,1/2); lengths 1 and 3
+    return np.array([[2, 0, 0, 0], [-3, 1, 1, 1]], dtype=np.int64)
 
 
-def _unit(dim: int, i: int, vi: int, j: int | None = None, vj: int = 0) -> list[int]:
-    row = [0] * dim
-    row[i] = vi
-    if j is not None:
-        row[j] = vj
-    return row
+def _simple_rows(spec: TypeSpec) -> np.ndarray:
+    """Doubled coordinates of the simple roots of spec, each factor in its own
+    block of ambient coordinates."""
+    blocks = [_simple_roots_doubled(fam, rank) for fam, rank in spec.factors]
+    simples = np.zeros((spec.rank, sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    row = col = 0
+    for b in blocks:
+        simples[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return simples
+
+
+def _cartan(gram: np.ndarray) -> np.ndarray:
+    """2(ai, aj)/(aj, aj) from the Gram matrix of the ai, checked to be integral."""
+    norms = np.diag(gram)
+    if np.any(2 * gram % norms):
+        raise InternalError("non-integral Cartan number")
+    return 2 * gram // norms
+
+
+def _key(rows: np.ndarray) -> np.ndarray:
+    """Each int64 row as one opaque value, sortable for exact lookup."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{8 * rows.shape[1]}")[:, 0]
+
+
+def _search(table: np.ndarray, rows: np.ndarray, order=None) -> np.ndarray:
+    """Index in table of each row, or -1 where it is absent: searchsorted over
+    the keys of table (sorted by `order`, or sorted already), then an exact
+    comparison."""
+    pos = np.minimum(np.searchsorted(_key(table), _key(rows), sorter=order), len(table) - 1)
+    pos = pos if order is None else order[pos]
+    return np.where((table[pos] == rows).all(axis=1), pos, -1)
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, sorted by key."""
+    rows = rows[np.argsort(_key(rows))]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
+
+
+def _close(simples: np.ndarray) -> np.ndarray:
+    """Every root of the system with these simple roots, in simple-root coordinates.
+
+    Every root is a Weyl group image of a simple root, so a breadth-first
+    search from the simple roots under s_j(v) = v - (vC)_j e_j (C the Cartan
+    matrix) finds them all, one level at a time.  The s_j are involutions, so
+    the images of a level lie in the level before, the level itself or the
+    next one, and are looked up in the first two only.
+    """
+    cartan = _cartan(simples @ simples.T)
+    # level 0 serves as its own level before
+    before = level = _distinct(np.eye(len(cartan), dtype=np.int64))
+    levels, count = [], 0
+    while len(level):
+        levels.append(level)
+        count += len(level)
+        if count > MAX_ROOTS:
+            raise InternalError("root closure does not end")
+        shift = level @ cartan
+        r, j = np.nonzero(shift)  # s_j moves root r of the level
+        images = level[r]
+        images[np.arange(len(r)), j] -= shift[r, j]
+        images = images[(_search(before, images) < 0) & (_search(level, images) < 0)]
+        before, level = level, _distinct(images)
+    roots = np.concatenate(levels)
+    if len(_distinct(roots)) != count:
+        raise InternalError("root closure repeats a root")
+    return roots
 
 
 class Root:
@@ -189,7 +245,10 @@ class RootSystem:
     """All roots of a type spec, closed under reflections, canonically ordered.
 
     Positive roots come first (sorted by height then coordinates); root i + P
-    is the negative of root i, where P is the number of positive roots.
+    is the negative of root i, where P is the number of positive roots.  The
+    roots are found by `_close` in simple-root coordinates, and every map
+    from coordinates back to an index goes through the one exact `_lookup`.
+    The P x P tables `cartan_table` and `orth_masks` are built on first use.
     Immutable after construction; what is derived from it is memoized in
     `_memo` by the functions decorated with `per_system`.
     """
@@ -197,100 +256,46 @@ class RootSystem:
     def __init__(self, spec: TypeSpec):
         self.type_spec = spec
         self._memo: dict = {}
-        blocks = []
-        offset = 0
-        self.ambient_dim = 0
-        for fam, rank in spec.factors:
-            dim, rows = _simple_roots_doubled(fam, rank)
-            blocks.append((offset, dim, rows))
-            offset += dim
-        self.ambient_dim = offset
         self.rank = spec.rank
+        simples = _simple_rows(spec)
+        self.ambient_dim = simples.shape[1]
 
-        simples: list[list[int]] = []
-        for off, dim, rows in blocks:
-            for row in rows:
-                padded = [0] * off + row + [0] * (self.ambient_dim - off - dim)
-                simples.append(padded)
-        self._isimples = [tuple(r) for r in simples]
-
-        self._generate()
-        self._finalize()
-
-    # -- construction ------------------------------------------------------
-
-    def _generate(self) -> None:
-        nsimple = len(self._isimples)
-        norms = [sum(c * c for c in s) for s in self._isimples]
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for j, s in enumerate(self._isimples):
-            seen[s] = tuple(1 if k == j else 0 for k in range(nsimple))
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for ic in frontier:
-                sc = seen[ic]
-                for j, alpha in enumerate(self._isimples):
-                    dot = sum(a * b for a, b in zip(ic, alpha))
-                    num = 2 * dot
-                    if num % norms[j]:
-                        raise InternalError("non-integral Cartan number in closure")
-                    c = num // norms[j]
-                    image = tuple(a - c * b for a, b in zip(ic, alpha))
-                    if image not in seen:
-                        isc = list(sc)
-                        isc[j] -= c
-                        seen[image] = tuple(isc)
-                        new.append(image)
-            frontier = new
-        self._raw = seen
-
-    def _finalize(self) -> None:
-        positives = []
-        for ic, sc in self._raw.items():
-            lead = next(v for v in sc if v)
-            if lead > 0:
-                positives.append((sum(sc), ic, sc))
-        positives.sort(key=lambda t: (t[0], t[1]))
-        if 2 * len(positives) != len(self._raw):
+        scoords = _close(simples)
+        height = scoords.sum(axis=1)
+        positive = height > 0
+        if 2 * np.count_nonzero(positive) != len(scoords):
             raise InternalError("roots do not come in +/- pairs")
+        scoords = scoords[positive]
+        icoords = scoords @ simples
+        # by height, then coordinates; lexsort's last key is its first
+        order = np.lexsort(np.vstack([icoords[:, ::-1].T, height[positive]]))
+        scoords = np.concatenate([scoords[order], -scoords[order]])
+        self._icoord_mat = np.concatenate([icoords[order], -icoords[order]])
+        self.n_positive = P = len(order)
+        self.roots: list[Root] = [
+            Root(tuple(ic), tuple(sc), idx, idx < P) for idx, (ic, sc)
+            in enumerate(zip(self._icoord_mat.tolist(), scoords.tolist()))]
 
-        self.n_positive = P = len(positives)
-        self.roots: list[Root] = []
-        for idx, (_, ic, sc) in enumerate(positives):
-            self.roots.append(Root(ic, sc, idx, True))
-        for idx, (_, ic, sc) in enumerate(positives):
-            nic = tuple(-v for v in ic)
-            nsc = tuple(-v for v in sc)
-            self.roots.append(Root(nic, nsc, P + idx, False))
-        del self._raw
-
-        self._index_of = {r.icoords: r.index for r in self.roots}
-        self.simple_indices = tuple(
-            self._index_of[s] for s in self._isimples)
-
-        self._icoord_mat = np.array([r.icoords for r in self.roots],
-                                    dtype=np.int64)
-        # each root's coordinates as one opaque value, sortable for exact lookup
-        self._root_bytes = self._icoord_mat.view(f"V{8 * self.ambient_dim}")[:, 0]
-        self._by_bytes = np.argsort(self._root_bytes)
-        pos = self._icoord_mat[:P]
-        dots = pos @ pos.T  # 4x the true inner products
-        norms = np.diag(dots)
-        cart = 2 * dots  # cartan(i,j) = 2(ai,aj)/(aj,aj) = 2*dots/norms[j]
-        if np.any(cart % norms[None, :]):
-            raise InternalError("non-integral Cartan table")
-        self.cartan_table = (cart // norms[None, :]).astype(np.int64)
-
-        self.orth_masks: list[int] = []
-        for i in range(P):
-            mask = 0
-            for j in np.flatnonzero(dots[i] == 0):
-                if j != i:
-                    mask |= 1 << int(j)
-            self.orth_masks.append(mask)
-
+        self._by_bytes = np.argsort(_key(self._icoord_mat))
+        self.simple_indices = tuple(self._lookup(simples).tolist())
         self._refl_cache: dict[int, np.ndarray] = {}
+
+    def _lookup(self, coords: np.ndarray) -> np.ndarray:
+        """Index of each row of doubled coordinates, or -1 where it is no root."""
+        return _search(self._icoord_mat, coords, self._by_bytes)
+
+    @cached_property
+    def cartan_table(self) -> np.ndarray:
+        """2(ai, aj)/(aj, aj) for all positive roots i, j."""
+        pos = self._icoord_mat[:self.n_positive]
+        return _cartan(pos @ pos.T)
+
+    @cached_property
+    def orth_masks(self) -> list[int]:
+        """For each positive root, the bitmask of the positive roots orthogonal to it."""
+        pos = self._icoord_mat[:self.n_positive]
+        bits = np.packbits(pos @ pos.T == 0, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
     # -- basic queries -----------------------------------------------------
 
@@ -310,9 +315,12 @@ class RootSystem:
         return i if i < self.n_positive else i - self.n_positive
 
     def index_of(self, coords: Sequence[Fraction]) -> int:
-        ic = tuple(int(2 * Fraction(c)) for c in coords)
-        idx = self._index_of.get(ic)
-        if idx is None:
+        doubled = [2 * Fraction(c) for c in coords]
+        idx = -1
+        if len(doubled) == self.ambient_dim and all(d.denominator == 1 for d in doubled):
+            row = np.array([[d.numerator for d in doubled]], dtype=np.int64)
+            idx = int(self._lookup(row)[0])
+        if idx < 0:
             raise ValueError(f"{tuple(coords)} is not a root of {self.type_spec}")
         return idx
 
@@ -329,11 +337,6 @@ class RootSystem:
         """2(ai, aj)/(aj, aj) for positive root indices i, j."""
         return int(self.cartan_table[i, j])
 
-    def gram_matrix(self) -> list[list[Fraction]]:
-        """Gram matrix of the simple roots (the bilinear form data)."""
-        return [[self.inner(i, j) for j in self.simple_indices]
-                for i in self.simple_indices]
-
     # -- reflections -------------------------------------------------------
 
     def reflection_perm(self, i: int) -> np.ndarray:
@@ -343,16 +346,13 @@ class RootSystem:
         if perm is None:
             alpha = self._icoord_mat[i]
             norm = int(alpha @ alpha)
-            dots = self._icoord_mat @ alpha
-            num = 2 * dots
+            num = 2 * (self._icoord_mat @ alpha)
             if np.any(num % norm):
                 raise InternalError("non-integral reflection coefficient")
-            images = self._icoord_mat - np.outer(num // norm, alpha)
-            pos = np.searchsorted(self._root_bytes, images.view(self._root_bytes.dtype)[:, 0],
-                                  sorter=self._by_bytes)
-            perm = self._by_bytes[np.minimum(pos, len(pos) - 1)].astype(np.int16)
-            if not np.array_equal(self._icoord_mat[perm], images):
+            perm = self._lookup(self._icoord_mat - np.outer(num // norm, alpha))
+            if np.any(perm < 0):
                 raise InternalError("a reflection maps a root outside the root system")
+            perm = perm.astype(np.int16)
             perm.setflags(write=False)
             self._refl_cache[i] = perm
         return perm
@@ -415,41 +415,27 @@ class SubsystemEmbedding:
         the orbit of the chosen roots under their own reflections is all of it.
         """
         rs = self.ambient
-        seen = set(self.sub_simple_roots)
-        seen |= {rs.negative_index(i) for i in self.sub_simple_roots}
-        frontier = list(seen)
-        gens = [rs.reflection_perm(i) for i in self.sub_simple_roots]
-        while frontier:
-            new = []
-            for idx in frontier:
-                for perm in gens:
-                    img = int(perm[idx])
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-            frontier = new
-        return tuple(sorted(seen))
+        chosen = rs._icoord_mat[list(self.sub_simple_roots)]
+        found = rs._lookup(_close(chosen) @ chosen)
+        if np.any(found < 0):
+            raise InternalError("the subsystem has a root outside the ambient system")
+        return tuple(np.sort(found).tolist())
 
     def positive_closure_mask(self) -> int:
-        mask = 0
-        for idx in self.closure():
-            if idx < self.ambient.n_positive:
-                mask |= 1 << idx
-        return mask
+        return sum(1 << i for i in self.closure() if i < self.ambient.n_positive)
 
 
 def target_cartan_matrix(spec: TypeSpec) -> list[list[int]]:
-    """Cartan matrix of a type spec, read off its standard realization."""
-    sub = build_root_system(spec)
-    si = sub.simple_indices
-    return [[sub.cartan(i, j) for j in si] for i in si]
+    """Cartan matrix of a type spec, read off its standard simple roots."""
+    simples = _simple_rows(spec)
+    return _cartan(simples @ simples.T).tolist()
 
 
 def find_subsystem(rs: RootSystem, target: TypeSpec | str) -> Optional[SubsystemEmbedding]:
     """Search for positive roots of rs realizing the Cartan matrix of target.
 
     Backtracking over positive-root tuples, pruning every partial choice
-    against the precomputed Cartan table.  Returns None when the exhaustive
+    against the Cartan table of rs.  Returns None when the exhaustive
     search finds nothing (e.g. B2 inside A2).
     """
     if isinstance(target, str):

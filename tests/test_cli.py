@@ -84,6 +84,16 @@ def test_pair_table_with_expression(capsys):
     assert data["separation"]["unseparated"] == []
 
 
+def test_pair_expression_names_starting_with_t(capsys):
+    # triv1pluscox is one name, not the keyword t followed by riv1pluscox
+    code, out, err = run_cli(capsys, "pair", "B2", "--expr", "sw(triv1pluscox,1)")
+    assert (code, err) == (0, "")
+    assert "sw(triv1pluscox,1)  0     1     1     0" in out
+    code, out, _ = run_cli(capsys, "pair", "B2", "--expr", "sw(cox,1)*t")
+    assert code == 0
+    assert "sw(cox,1)*t  0     t     t     0" in out
+
+
 def test_pair_rejects_bad_expression(capsys):
     code, _, err = run_cli(capsys, "pair", "B2", "--expr", "sw(nosuchrep,1)")
     assert code == 2

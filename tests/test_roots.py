@@ -1,10 +1,14 @@
 """Root system construction, reflection geometry, subsystem search."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
-from weylinv import TypeSpec, build_root_system, find_subsystem, reflect
+from weylinv import TypeSpec, build_root_system, find_subsystem, group_order, reflect
+from weylinv.verify import REDUCTION_PAIRS
 
 
 def closure_oracle(simples):
@@ -26,6 +30,43 @@ def closure_oracle(simples):
                 if image not in roots:
                     roots.add(image)
                     changed = True
+    return roots
+
+
+def closure_bfs(rs, chosen):
+    """Subsystem closure by index: the orbit of the chosen roots and their
+    negatives under the reflection permutations of the chosen roots."""
+    seen = set(chosen) | {rs.negative_index(i) for i in chosen}
+    frontier = list(seen)
+    gens = [rs.reflection_perm(i) for i in chosen]
+    while frontier:
+        new = []
+        for idx in frontier:
+            for perm in gens:
+                img = int(perm[idx])
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return tuple(sorted(seen))
+
+
+def classical_roots(fam, n):
+    """Doubled coordinates of the A/B/C/D roots from their closed forms."""
+    def vec(dim, *entries):
+        row = [0] * dim
+        for i, v in entries:
+            row[i] = 2 * v
+        return tuple(row)
+
+    if fam == "A":  # e_i - e_j in R^{n+1}
+        return {vec(n + 1, (i, 1), (j, -1))
+                for i in range(n + 1) for j in range(n + 1) if i != j}
+    roots = {vec(n, (i, a), (j, b)) for i, j in combinations(range(n), 2)
+             for a in (1, -1) for b in (1, -1)}  # +-e_i +- e_j
+    if fam in "BC":  # +-e_i or +-2e_i
+        roots |= {vec(n, (i, s * (1 if fam == "B" else 2)))
+                  for i in range(n) for s in (1, -1)}
     return roots
 
 
@@ -98,6 +139,14 @@ def test_root_counts_match_oracle(system, name, total):
     assert len(rs.roots) == total
 
 
+@pytest.mark.parametrize("fam", "ABCD")
+def test_classical_roots_match_closed_forms(fam):
+    for n in range(2 if fam == "D" else 1, 25):
+        rs, want = build_root_system(f"{fam}{n}"), classical_roots(fam, n)
+        assert {r.icoords for r in rs.roots} == want, f"{fam}{n}"
+        assert len(rs.roots) == len(want)  # no root listed twice
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6"])
 def test_plus_minus_pairing_and_lengths(system, name):
     rs = system(name)
@@ -153,6 +202,22 @@ def test_cartan_matrix_of_product_is_block_diagonal(system):
     assert got == [[2, 0, 0], [0, 2, -1], [0, -1, 2]]
 
 
+@pytest.mark.parametrize("name", ["B3", "G2", "A1xA2", "E6"])
+def test_orth_masks_match_inner_products(system, name):
+    rs = system(name)
+    for i in range(rs.n_positive):
+        want = sum(1 << j for j in range(rs.n_positive) if rs.inner(i, j) == 0)
+        assert rs.orth_masks[i] == want
+
+
+def test_group_order_builds_no_positive_root_tables():
+    rs = build_root_system("A30")
+    assert group_order(rs) == math.factorial(31)
+    # the P x P tables are built on first use, and the group order uses neither
+    assert "cartan_table" not in rs.__dict__
+    assert "orth_masks" not in rs.__dict__
+
+
 def test_positivity_by_first_simple_coordinate(system):
     rs = system("B3")
     for r in rs.roots:
@@ -165,6 +230,21 @@ def test_canonical_order_positive_first_by_height(system):
     heights = [r.height for r in rs.roots[:rs.n_positive]]
     assert heights == sorted(heights)
     assert heights[0] == 1
+
+
+def test_index_of_rejects_what_is_no_root(system):
+    rs = system("A2")
+    assert rs.index_of((Fraction(0), Fraction(1), Fraction(-1))) == rs.index_of((0, 1, -1))
+    # 2c must be an integer: a truncation would read this as (0, 1, -1)
+    with pytest.raises(ValueError, match="not a root"):
+        rs.index_of((Fraction(1, 4), 1, -1))
+    with pytest.raises(ValueError, match="not a root"):
+        rs.index_of((0, 1, -1, 0))
+    with pytest.raises(ValueError, match="not a root"):
+        rs.index_of((1, -1))
+    assert rs.index_of((1.0, -1.0, 0.0)) == rs.index_of((1, -1, 0))
+    with pytest.raises(ValueError, match="not a root"):
+        rs.index_of((0.3, -1.0, 0.7))
 
 
 # -- reflect --------------------------------------------------------------------
@@ -224,6 +304,30 @@ def test_find_subsystem_d8_closure_size(system):
     for i in closure:
         perm = rs.reflection_perm(i)
         assert all(int(perm[j]) in idx_set for j in closure)
+
+
+CLOSURE_CASES = ([(amb, sub) for amb, sub, _ in REDUCTION_PAIRS]
+                 + [(amb, sub) for amb in ["D6", "E6", "E7", "E8", "F4", "B3", "C4"]
+                    for sub in ["A1", "D2", "D3", "D4", "D5"]
+                    if TypeSpec.parse(sub).rank <= TypeSpec.parse(amb).rank])
+
+
+@pytest.mark.parametrize("amb,sub", CLOSURE_CASES)
+def test_closure_matches_index_bfs(system, amb, sub):
+    rs = system(amb)
+    emb = find_subsystem(rs, sub)
+    closure = emb.closure()
+    assert closure == closure_bfs(rs, emb.sub_simple_roots)
+    assert len(closure) == TypeSpec.parse(sub).root_count
+    assert emb.positive_closure_mask() == sum(1 << i for i in closure if i < rs.n_positive)
+
+
+def test_closure_of_an_infinite_system_raises():
+    from weylinv import InternalError
+    from weylinv.roots import _close
+    # a and -a as "simple roots": the affine A1 Cartan matrix, an infinite group
+    with pytest.raises(InternalError, match="does not end"):
+        _close(np.array([[2, -2], [-2, 2]], dtype=np.int64))
 
 
 def test_find_subsystem_not_found(system):
