@@ -32,7 +32,6 @@ positive root orthogonal to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Iterator, Sequence
 
@@ -289,9 +288,10 @@ def _mask_bits(mask: int) -> list[int]:
 
 
 class Involution:
-    """A group element squaring to the identity, keyed by its (-1)-eigenspace."""
+    """A group element squaring to the identity, keyed by the mask of the
+    positive roots it negates, which span its (-1)-eigenspace."""
 
-    __slots__ = ("element", "mask", "degree", "_key")
+    __slots__ = ("element", "mask", "degree")
 
     def __init__(self, element: GroupElement):
         if not compose(element, element).is_identity():
@@ -300,43 +300,9 @@ class Involution:
         self.mask = mask_of_perm(element.images, element.home)
         trace = coxeter_trace(element)
         self.degree = (element.home.rank - trace) // 2
-        self._key = None
-
-    @property
-    def eigenspace_key(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Reduced-echelon basis of the (-1)-eigenspace, exact rationals."""
-        if self._key is None:
-            rs = self.element.home
-            rows = [rs.roots[i].coords for i in _greedy_roots(rs, self.mask)]
-            self._key = rref(rows)
-        return self._key
 
     def __repr__(self):
         return f"Involution(degree {self.degree} of {self.element.home.type_spec})"
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced row echelon form over the rationals; zero rows dropped."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, len(mat)) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = 1 / mat[pivot_row][col]
-        mat[pivot_row] = [v * inv for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:pivot_row] if any(row))
 
 
 def _greedy_roots(rs: RootSystem, mask: int) -> tuple[int, ...]:

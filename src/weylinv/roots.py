@@ -269,7 +269,7 @@ class RootSystem:
         icoords = scoords @ simples
         # by height, then coordinates; lexsort's last key is its first
         order = np.lexsort(np.vstack([icoords[:, ::-1].T, height[positive]]))
-        scoords = np.concatenate([scoords[order], -scoords[order]])
+        self._scoord_mat = scoords = np.concatenate([scoords[order], -scoords[order]])
         self._icoord_mat = np.concatenate([icoords[order], -icoords[order]])
         self.n_positive = P = len(order)
         self.roots: list[Root] = [

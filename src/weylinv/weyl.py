@@ -3,31 +3,30 @@
 Elements are length-2P index arrays (image of root i is images[i]); the
 underlying linear map is recovered on demand as an integer matrix in the
 simple-root basis.  The group order is the product of the orbit sizes along
-the Steinberg chain: by Steinberg's fixed-point theorem the stabilizer of a
-point of the closed chamber is the parabolic subgroup generated by the simple
-reflections fixing it, so every level's generators are known up front.  No
-order formulas or lookup tables are involved.
+the Steinberg chain of parabolic subgroups, and each orbit is counted rather
+than walked: it is every root of one length in one Dynkin component of the
+level's parabolic, by transitivity on roots of one length.  No order
+formulas, lookup tables or reflection permutations are involved.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .roots import InternalError, Root, RootSystem, per_system
+from .roots import InternalError, Root, RootSystem, _close, per_system
 
 
 class GroupElement:
     """A permutation of the roots induced by an orthogonal map."""
 
-    __slots__ = ("images", "home", "_hash")
+    __slots__ = ("images", "home")
 
     def __init__(self, images: np.ndarray, home: RootSystem):
         self.images = images
         self.home = home
-        self._hash = None
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
@@ -35,9 +34,7 @@ class GroupElement:
                 and np.array_equal(self.images, other.images))
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.images.tobytes())
-        return self._hash
+        return hash(self.images.tobytes())
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return compose(self, other)
@@ -64,14 +61,10 @@ def identity(rs: RootSystem) -> GroupElement:
     return GroupElement(_id_images(rs), rs)
 
 
-def _check_same_home(x: GroupElement, y: GroupElement) -> None:
-    if x.home is not y.home:
-        raise ValueError("elements live in different root systems")
-
-
 def compose(x: GroupElement, y: GroupElement) -> GroupElement:
     """x after y: the permutation sending i to x(y(i))."""
-    _check_same_home(x, y)
+    if x.home is not y.home:
+        raise ValueError("elements live in different root systems")
     return GroupElement(x.images[y.images], x.home)
 
 
@@ -113,11 +106,7 @@ def element_matrix(x: GroupElement) -> np.ndarray:
     simple root.
     """
     rs = x.home
-    r = rs.rank
-    mat = np.empty((r, r), dtype=np.int64)
-    for j, si in enumerate(rs.simple_indices):
-        mat[:, j] = rs.roots[int(x.images[si])].scoords
-    return mat
+    return rs._scoord_mat[x.images[list(rs.simple_indices)]].T
 
 
 def coxeter_trace(x: GroupElement) -> int:
@@ -136,61 +125,25 @@ def length_parity(x: GroupElement) -> int:
 
 
 class _Level(NamedTuple):
-    """A J-dominant root and its W_J-orbit; each orbit point maps to the
-    simple root whose reflection first reached it (None for the point)."""
+    """A J-dominant root and the root indices of its W_J-orbit."""
     point: int
-    transversal: dict[int, Optional[int]]
+    transversal: np.ndarray
 
 
-class StabChain:
-    """The Steinberg chain of the reflection group of a simple system.
+class StabChain(NamedTuple):
+    """The Steinberg chain of a reflection group, one level per base point.
 
-    Steinberg's fixed-point theorem (Steinberg, Trans. AMS 112, 1964;
-    Humphreys, Reflection Groups and Coxeter Groups, 1.12): the stabilizer
-    in W_J of a point of the closed J-chamber is the parabolic subgroup
-    generated by the s_j, j in J, that fix it.  So starting from J = the
-    given simple roots, each level moves a root of J into the closed
-    J-chamber, records its W_J-orbit under the simple reflections of J, and
-    keeps the j in J orthogonal to it.  Every generator is known up front;
-    |W_J| is the product of the orbit sizes.
-
-    Raises ValueError if the roots are not a simple system: two of them at
-    an acute angle, or a descent that never reaches a J-dominant root.
+    By Steinberg's fixed-point theorem (Steinberg, Trans. AMS 112, 1964;
+    Humphreys, Reflection Groups and Coxeter Groups, 1.12) the stabilizer in
+    W_J of a point of the closed J-chamber is the parabolic subgroup of the
+    s_j, j in J, fixing it.  So from J = all simple roots, each level takes
+    the J-dominant root d in the orbit of J's first node and keeps the j in
+    J orthogonal to d.  W acts transitively on the roots of one length of an
+    irreducible system (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.4, Lemma C), so the W_J-orbit of d, counted
+    rather than walked, is every root of its length in its component of J.
     """
-
-    def __init__(self, rs: RootSystem, simple_roots: Sequence[int]):
-        self.home = rs
-        self.levels: list[_Level] = []
-        coords = rs._icoord_mat
-        J = [int(j) for j in simple_roots]
-        refl = {j: rs.reflection_perm(j) for j in J}
-        gram = coords[J] @ coords[J].T
-        if np.any(np.triu(gram, 1) > 0):
-            raise ValueError("generators meet at an acute angle; "
-                             "not a simple system")
-        while J:
-            d = J[0]
-            for _ in range(len(rs.roots) + 1):
-                below = np.flatnonzero(coords[J] @ coords[d] < 0)
-                if not below.size:
-                    break
-                d = int(refl[J[below[0]]][d])
-            else:
-                raise ValueError("descent reaches no dominant root; "
-                                 "not a simple system")
-            orbit: dict[int, Optional[int]] = {d: None}
-            frontier = [d]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for j in J:
-                        q = int(refl[j][p])
-                        if q not in orbit:
-                            orbit[q] = j
-                            nxt.append(q)
-                frontier = nxt
-            self.levels.append(_Level(d, orbit))
-            J = [j for j, dot in zip(J, coords[J] @ coords[d]) if dot == 0]
+    levels: list[_Level]
 
     @property
     def base(self) -> list[int]:
@@ -199,24 +152,37 @@ class StabChain:
     def order(self) -> int:
         return prod(len(lvl.transversal) for lvl in self.levels)
 
-    def contains(self, perm: np.ndarray) -> bool:
-        """Sift perm down the chain; members reduce to the identity."""
-        rs = self.home
-        g = np.asarray(perm)
-        for lvl in self.levels:
-            p = int(g[lvl.point])
-            if p not in lvl.transversal:
-                return False
-            while p != lvl.point:
-                s = rs.reflection_perm(lvl.transversal[p])
-                g, p = s[g], int(s[p])
-        return bool(np.array_equal(g, _id_images(rs)))
+
+def _chain(scoords: np.ndarray, icoords: np.ndarray) -> StabChain:
+    """The chain of the roots with these simple and doubled coordinates, one
+    row each, in row indices.  Phi_J is the roots supported on J, a node's
+    component the union of the supports of the roots through it, and an
+    orbit's dominant root its highest."""
+    height, nonzero = scoords.sum(axis=1), scoords != 0
+    norm = np.einsum("ij,ij->i", icoords, icoords)
+    units = np.flatnonzero(height == 1)
+    simple = units[np.argsort(scoords[units].argmax(axis=1))]
+    rows = np.arange(len(scoords))  # the roots of Phi_J
+    J = np.arange(scoords.shape[1])
+    levels = []
+    while len(J):
+        support = nonzero[np.ix_(rows, J)]
+        component = support[support[:, 0]].any(axis=0)
+        orbit = rows[support[:, component].any(axis=1)
+                     & (norm[rows] == norm[simple[J[0]]])]
+        d = int(orbit[np.argmax(height[orbit])])
+        if np.any(icoords[simple[J[component]]] @ icoords[d] < 0):
+            raise InternalError("the highest root of an orbit is not dominant")
+        levels.append(_Level(d, orbit))
+        kept = icoords[simple[J]] @ icoords[d] == 0
+        rows, J = rows[~support[:, ~kept].any(axis=1)], J[kept]
+    return StabChain(levels)
 
 
 @per_system
 def stab_chain(rs: RootSystem) -> StabChain:
     """The memoized chain of W over the simple roots of rs."""
-    return StabChain(rs, rs.simple_indices)
+    return _chain(rs._scoord_mat, rs._icoord_mat)
 
 
 def group_order(rs: RootSystem) -> int:
@@ -224,9 +190,37 @@ def group_order(rs: RootSystem) -> int:
     return stab_chain(rs).order()
 
 
+def _positive_definite(gram: np.ndarray) -> bool:
+    """Sylvester's criterion, exactly: fraction-free (Bareiss) elimination
+    leaves the leading principal minors of the integer matrix on its
+    diagonal, and all must be positive."""
+    m, prev = gram.astype(object), 1
+    for k in range(len(m)):
+        if m[k, k] <= 0:
+            return False
+        m[k + 1:, k + 1:] = (m[k, k] * m[k + 1:, k + 1:]
+                             - np.outer(m[k + 1:, k], m[k, k + 1:])) // prev
+        prev = m[k, k]
+    return True
+
+
 def subgroup_order(rs: RootSystem, simple_roots: Sequence[int]) -> int:
-    """Order of the subgroup generated by reflections in a simple system."""
-    return StabChain(rs, simple_roots).order()
+    """Order of the group generated by the reflections in a simple system.
+
+    Raises ValueError on two roots at an acute angle and on linearly
+    dependent roots, such as the affine {a, b, -(a+b)} in A2.  The rest are
+    simple systems, so their closure ends.
+    """
+    chosen = rs._icoord_mat[list(simple_roots)]
+    if not len(chosen):
+        return 1
+    gram = chosen @ chosen.T
+    if np.any(np.triu(gram, 1) > 0):
+        raise ValueError("not a simple system: two roots at an acute angle")
+    if not _positive_definite(gram):
+        raise ValueError("not a simple system: the roots are linearly dependent")
+    scoords = _close(chosen)
+    return _chain(scoords, scoords @ chosen).order()
 
 
 def enumerate_group(rs: RootSystem, limit: int | None = None) -> list[GroupElement]:

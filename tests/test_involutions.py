@@ -123,7 +123,6 @@ def test_b2_rank2_cubes_give_same_involution(system):
     assert len(pairs) == 2
     assert invs[0].mask == invs[1].mask
     assert (invs[0].element.images == invs[1].element.images).all()
-    assert invs[0].eigenspace_key == invs[1].eigenspace_key
 
 
 def test_involution_constructor_rejects_non_involution(system):
@@ -235,20 +234,32 @@ def test_d6_has_at_least_two_degree_three_classes(system):
     assert sum(1 for c in classes if c.degree == 3) >= 2
 
 
-def test_eigenspace_key_is_reduced_echelon(system):
-    rs = system("B3")
+def rank_oracle(rows):
+    """Rank over the rationals by Gaussian elimination in Fractions."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            c = mat[r][col] / mat[rank][col]
+            mat[r] = [a - c * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
+def test_negated_roots_span_the_minus_one_eigenspace(system, name):
+    """The mask keys an involution: its roots span the whole (-1)-eigenspace,
+    whose dimension the trace gives."""
+    rs = system(name)
     for cls in classify_involutions(rs):
-        key = cls.representative.eigenspace_key
-        assert len(key) == cls.degree
-        pivots = []
-        for row in key:
-            nz = [i for i, v in enumerate(row) if v]
-            assert row[nz[0]] == 1
-            pivots.append(nz[0])
-            for other in key:
-                if other is not row:
-                    assert other[nz[0]] == 0
-        assert pivots == sorted(pivots)
+        inv = cls.representative
+        negated = [i for i in range(rs.n_positive) if inv.mask >> i & 1]
+        assert all(inv.element(i) == rs.negative_index(i) for i in negated)
+        assert rank_oracle([rs.roots[i].coords for i in negated]) == cls.degree
 
 
 # -- split_involution ------------------------------------------------------------
@@ -568,7 +579,7 @@ def test_reduction_f4_b4(system):
 
 def _class_rows(rs):
     return ([(c.class_id, c.degree, c.size, c.splitting.roots,
-              c.representative.eigenspace_key) for c in classify_involutions(rs)],
+              c.representative.mask) for c in classify_involutions(rs)],
             [(c.rank, c.size, c.representative.roots) for c in classify_cubes(rs)])
 
 

@@ -12,25 +12,32 @@ from weylinv.verify import REDUCTION_PAIRS
 
 
 def closure_oracle(simples):
-    """Reflection closure with plain Fraction arithmetic, no library reuse."""
+    """Reflection closure in plain Python, no library reuse.
+
+    Coordinates are doubled to integers, where the reflection coefficient
+    2(v, a)/(a, a) is exact.  Each root is reflected in every simple root
+    once, when it first appears.
+    """
     def dot(u, v):
         return sum(a * b for a, b in zip(u, v))
 
-    def mirror(v, alpha):
-        c = 2 * dot(v, alpha) / dot(alpha, alpha)
-        return tuple(x - c * a for x, a in zip(v, alpha))
+    def mirror(v, a):
+        c, rest = divmod(2 * dot(v, a), dot(a, a))
+        assert rest == 0, "non-integral reflection coefficient"
+        return tuple(x - c * y for x, y in zip(v, a))
 
-    roots = {tuple(map(Fraction, s)) for s in simples}
-    changed = True
-    while changed:
-        changed = False
-        for r in list(roots):
-            for s in simples:
-                image = mirror(r, tuple(map(Fraction, s)))
+    gens = [tuple(int(2 * Fraction(x)) for x in s) for s in simples]
+    roots, frontier = set(gens), list(gens)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a in gens:
+                image = mirror(v, a)
                 if image not in roots:
                     roots.add(image)
-                    changed = True
-    return roots
+                    nxt.append(image)
+        frontier = nxt
+    return {tuple(Fraction(x, 2) for x in r) for r in roots}
 
 
 def closure_bfs(rs, chosen):
@@ -213,9 +220,11 @@ def test_orth_masks_match_inner_products(system, name):
 def test_group_order_builds_no_positive_root_tables():
     rs = build_root_system("A30")
     assert group_order(rs) == math.factorial(31)
-    # the P x P tables are built on first use, and the group order uses neither
+    # the P x P tables are built on first use, and the group order uses
+    # neither, nor any reflection permutation
     assert "cartan_table" not in rs.__dict__
     assert "orth_masks" not in rs.__dict__
+    assert rs._refl_cache == {}
 
 
 def test_positivity_by_first_simple_coordinate(system):

@@ -7,9 +7,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from weylinv import (GroupElement, InternalError, StabChain, compose,
-                     element_matrix, enumerate_group, group_order, identity,
-                     invert, orbit_partition, order_of, reflection_element,
+from weylinv import (GroupElement, InternalError, compose, element_matrix,
+                     enumerate_group, group_order, identity, invert,
+                     orbit_partition, order_of, reflection_element,
                      simple_reflections, stab_chain, subgroup_order)
 
 
@@ -164,31 +164,62 @@ def test_chain_transversal_product_is_order(system):
     assert product == group_order(rs) == 48
 
 
-def test_chain_membership(system):
-    rs = system("B3")
+def bfs_chain(rs):
+    """The Steinberg chain walked, not counted: descend the first root of J
+    to its J-dominant root d by simple reflections of J, take the orbit of d
+    under them breadth first, and keep the j in J orthogonal to d."""
+    coords = rs._icoord_mat
+    J = list(rs.simple_indices)
+    levels = []
+    while J:
+        d = J[0]
+        while True:
+            below = [j for j in J if coords[j] @ coords[d] < 0]
+            if not below:
+                break
+            d = int(rs.reflection_perm(below[0])[d])
+        orbit, frontier = {d}, [d]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for j in J:
+                    q = int(rs.reflection_perm(j)[p])
+                    if q not in orbit:
+                        orbit.add(q)
+                        nxt.append(q)
+            frontier = nxt
+        levels.append((d, orbit))
+        J = [j for j in J if coords[j] @ coords[d] == 0]
+    return levels
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "E6", "F4", "G2",
+                                  "A1xB3", "B2xG2"])
+def test_counted_chain_matches_walked_chain(system, name):
+    rs = system(name)
     chain = stab_chain(rs)
-    assert chain.contains(identity(rs).images)
-    rng = random.Random(23)
-    gens = simple_reflections(rs)
-    for _ in range(20):
-        w = identity(rs)
-        for _ in range(rng.randrange(1, 12)):
-            w = compose(w, rng.choice(gens))
-        assert chain.contains(w.images)
-    # a permutation that maps a long root onto a short one is no group element
-    from fractions import Fraction
-    bogus = np.arange(len(rs.roots), dtype=np.int16)
-    long_root = rs.index_of((Fraction(1), Fraction(-1), Fraction(0)))
-    short_root = rs.index_of((Fraction(1), Fraction(0), Fraction(0)))
-    bogus[long_root], bogus[short_root] = short_root, long_root
-    assert not chain.contains(bogus)
+    walked = bfs_chain(rs)
+    assert chain.base == [d for d, _ in walked]
+    assert [set(lvl.transversal.tolist()) for lvl in chain.levels] == [
+        orbit for _, orbit in walked]
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "A1xA2"])
+def test_chain_levels_are_stabilizer_orbits(system, name):
+    """Level k's orbit is that of its point under the pointwise stabilizer
+    in W of the points of the levels before."""
+    rs = system(name)
+    stabilizer = enumerate_group(rs)
+    for lvl in stab_chain(rs).levels:
+        assert {g(lvl.point) for g in stabilizer} == set(lvl.transversal.tolist())
+        stabilizer = [g for g in stabilizer if g(lvl.point) == lvl.point]
+    assert [g.is_identity() for g in stabilizer] == [True]
 
 
 def test_subgroup_chain_with_custom_generators(system):
     rs = system("B3")
     # the parabolic generated by the first two simple reflections is B2-or-A1xA1 sized
     gens = [rs.reflection_perm(i) for i in rs.simple_indices[:2]]
-    chain = StabChain(rs, rs.simple_indices[:2])
     full = {identity(rs).images.tobytes()}
     frontier = [identity(rs)]
     elems = {identity(rs).images.tobytes(): identity(rs)}
@@ -201,7 +232,8 @@ def test_subgroup_chain_with_custom_generators(system):
                     elems[h.images.tobytes()] = h
                     new.append(h)
         frontier = new
-    assert chain.order() == len(elems)
+    assert subgroup_order(rs, rs.simple_indices[:2]) == len(elems)
+    assert subgroup_order(rs, []) == 1
 
 
 def _closed_form_order(fam: str, n: int) -> int:
@@ -247,16 +279,12 @@ def test_subgroup_order_rejects_non_simple_obtuse_set(system):
         subgroup_order(rs, [alpha, beta, rs.negative_index(highest)])
 
 
-def test_chain_contains_random_words_in_e6(system):
-    rs = system("E6")
-    chain = stab_chain(rs)
-    rng = random.Random(6)
-    gens = simple_reflections(rs)
-    for _ in range(200):
-        w = identity(rs)
-        for _ in range(rng.randrange(1, 40)):
-            w = compose(w, rng.choice(gens))
-        assert chain.contains(w.images)
+def test_subgroup_order_rejects_affine_e8(system):
+    rs = system("E8")
+    theta = rs.n_positive - 1  # the highest root comes last among the positive
+    assert rs.roots[theta].height == 29
+    with pytest.raises(ValueError, match="linearly dependent"):
+        subgroup_order(rs, [*rs.simple_indices, rs.negative_index(theta)])
 
 
 # -- orbit partition -----------------------------------------------------------------
