@@ -264,9 +264,8 @@ def cmd_pair(args) -> int:
     rs = build_root_system(args.type)
     classes = classify_involutions(rs)
     budget = GapBudget(max_exterior=args.budget)
-    from .reps import coxeter_rep
-    cox = coxeter_rep(rs)
     base_reps, _ = base_catalogue(rs, budget)
+    cox = next(rep for rep in base_reps if rep.descriptor == "cox")
     aliases = _catalogue_aliases(default_catalogue(rs, budget, base_reps))
     exprs = [(f"sw(cox,{i})", sw(cox, i)) for i in range(rs.rank + 1)]
     for text in args.expr:

@@ -22,6 +22,15 @@ raise InternalError instead of merging two orbits.  A union-find over the
 seeds labels the orbits.  An orbit comes out as its rows and their labels,
 in no particular order; the least row of each label is its representative.
 
+The engine of a root system stores every search, read-only, and searches
+only the given masks found in none.  The number of bits set, which
+conjugation keeps, rules out most stored searches; in the rest a mask is
+looked up by key level by level (a level is sorted by key), and every key
+match is compared row by row.  So low-rank cubes and small subsystems' orbits
+are read off the involution layers: a degree-k involution is the product of
+the reflections in k orthogonal roots (Carter, Compositio Math. 25 (1972),
+Lemma 5), so if its (-1)-eigenspace holds no other root, its mask is a cube.
+
 Involutions and cubes are never walked one by one.  Each degree layer of
 involutions is the orbit of every class representative of the degree below
 times the reflection in each positive root orthogonal to its eigenspace;
@@ -31,6 +40,7 @@ positive root orthogonal to it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Sequence
@@ -81,6 +91,7 @@ class MaskEngine:
         self._key_tables = self._byte_tables(per_bit[:, -1:])
         perms = [rs.positive_perm(p) for p in rs.simple_reflection_perms()]
         self.fused = self._byte_tables(np.hstack([per_bit[perm] for perm in perms]))
+        self._stored: list[_Search] = []  # every search, in order
 
     def _byte_tables(self, per_bit: np.ndarray) -> np.ndarray:
         """Entry [j, v]: wrapping sum of per_bit over the bits v sets in byte j,
@@ -99,11 +110,14 @@ class MaskEngine:
         """Sum of one table entry per byte of each row: the image rows and
         keys under every simple reflection, side by side, for the fused
         table, the keys for the key tables."""
-        view = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
+        view = self._bytes(rows)
         acc = np.zeros((len(rows), tables.shape[2]), dtype=_WORD)
         for j, table in enumerate(tables):
             acc += table.take(view[:, j], axis=0)
         return acc
+
+    def _bytes(self, rows: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         return self.apply(rows, self._key_tables)[:, 0]
@@ -115,16 +129,62 @@ class MaskEngine:
     def mask(self, row: np.ndarray) -> int:
         return int.from_bytes(np.asarray(row, dtype=_WORD).tobytes(), "little")
 
-    def bit_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """Boolean matrix whose column i is mask bit i of each row, stored
-        column by column: the permutation traces gather columns."""
-        bits = np.unpackbits(np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8),
-                             axis=1, bitorder="little")
-        return bits[:, :self.nbits].astype(bool, order="F")
+    def fixed_points(self, rows: np.ndarray, perm: np.ndarray) -> int:
+        """How many rows the permutation sending mask bit i to bit perm[i] fixes."""
+        per_bit = np.zeros((self.nbits, self.nwords), dtype=_WORD)
+        per_bit[np.arange(self.nbits), perm // 64] = np.uint64(1) << (perm % 64).astype(_WORD)
+        same = self.apply(rows, self._byte_tables(per_bit)) == rows
+        return int(np.count_nonzero(reduce(np.logical_and, same.T)))  # in every word
 
     def orbit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every mask in the orbits of the given rows, as (rows, labels) in no
-        particular order; rows share a label exactly when they share an orbit.
+        particular order; rows share a label exactly when they share an orbit,
+        and a label is the least index of a given row in that orbit.
+
+        The given rows found in no stored search are searched together and
+        the search is stored; the answer shares the arrays of a stored
+        search when it is the whole of one."""
+        keys = self.keys(rows)
+        sizes = np.unpackbits(self._bytes(rows), axis=1).sum(axis=1)  # conjugation keeps them
+        where, at = self._find(rows, keys, sizes)
+        miss = np.flatnonzero(where < 0)
+        if len(miss):
+            new = self._search(rows[miss], keys[miss], sizes[miss])
+            self._stored.append(new)
+            if len(miss) == len(rows):
+                return new.rows, new.labels
+            where[miss] = len(self._stored) - 1  # the seeds are level 0
+            at[miss] = np.searchsorted(new.keys[:new.starts[1]], keys[miss])
+        pieces, n = [], len(rows)
+        for s in sorted(set(where.tolist())):  # np.unique would import numpy.ma
+            found, search = np.flatnonzero(where == s), self._stored[s]
+            least = np.full(search.nseeds, n, dtype=np.min_scalar_type(n))
+            np.minimum.at(least, search.labels[at[found]], found.astype(least.dtype))
+            labels = least[search.labels]  # n for the orbits no given row is in
+            take = labels < n
+            pieces.append((search.rows, labels) if take.all()
+                          else (search.rows[take], labels[take]))
+        return pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
+
+    def _find(self, rows: np.ndarray, keys: np.ndarray, sizes: np.ndarray) -> tuple:
+        """(stored search, row) of each given row, search -1 where it is in
+        none; sizes are the numbers of bits set in the given rows."""
+        where, at = np.full(len(rows), -1), np.zeros(len(rows), dtype=np.intp)
+        for s, search in enumerate(self._stored):
+            look = np.flatnonzero(search.holds[sizes])
+            if not len(look):
+                continue
+            look_rows, look_keys = rows[look], keys[look]
+            for a, b in zip(search.starts[:-1], search.starts[1:]):
+                pos = a + np.minimum(np.searchsorted(search.keys[a:b], look_keys), b - a - 1)
+                hit = search.keys[pos] == look_keys
+                _no_collision(np.array_equal(search.rows[pos[hit]], look_rows[hit]))
+                where[look[hit]], at[look[hit]] = s, pos[hit]
+        return where, at
+
+    def _search(self, rows: np.ndarray, keys: np.ndarray, sizes: np.ndarray) -> _Search:
+        """The orbits of the given rows, none of them stored, whose keys and
+        numbers of bits set are given.
 
         Level d holds the masks d reflections from the nearest seed.  Each row
         records its parents, the reflections that reached it from level d-1.
@@ -136,8 +196,11 @@ class MaskEngine:
         the row's seed where two met."""
         width = self.nwords + 1
         ngens = self.fused.shape[2] // width
-        images = np.hstack([rows, self.keys(rows)[:, None]])
-        seeds = root = np.arange(len(rows))
+        holds = np.zeros(self.nbits + 1, dtype=bool)
+        holds[sizes] = True
+        images = np.hstack([rows, keys[:, None]])
+        root = np.arange(len(rows))
+        seeds = root.astype(np.min_scalar_type(len(rows)))  # labels take the least dtype
         gens = np.full(len(rows), ngens)  # a seed has no parent reflection
         levels: list = []  # (rows, keys, seeds) of each level
         while len(images):
@@ -164,9 +227,21 @@ class MaskEngine:
             fresh = np.flatnonzero(~parents[:, :ngens])  # image g of row i: i * ngens + g
             images = self.apply(level[0], self.fused).reshape(-1, width)[fresh]
             seeds, gens = level[2][fresh // ngens], fresh % ngens
-        rows, keys, seeds = (np.concatenate(part) for part in zip(*levels))
+        starts = np.cumsum([0] + [len(k) for _, k, _ in levels if len(k)]).tolist()
+        parts = [list(part) for part in zip(*levels)]
+        levels.clear()  # so that each level goes once it is copied
+        rows, keys, seeds = (np.concatenate(parts.pop(0)) for _ in range(3))
         _no_collision(np.all(np.diff(np.sort(keys)) != 0))  # distinct across levels too
-        return rows, root[seeds]
+        labels = root.astype(seeds.dtype)[seeds]
+        for part in rows, keys, labels:
+            part.flags.writeable = False
+        return _Search(rows, keys, labels, starts, holds, len(root))
+
+
+# One stored search, its arrays read-only: the rows level by level, each level
+# sorted by key, with their keys and labels; where each level starts, and the
+# end; holds[k] when it holds masks of k bits; its number of seeds.
+_Search = namedtuple("_Search", "rows keys labels starts holds nseeds")
 
 
 @per_system
@@ -408,17 +483,15 @@ def _orthogonal_to(rs: RootSystem, roots: Sequence[int]) -> int:
 @per_system
 def _cube_orbits(rs: RootSystem) -> tuple[list, list]:
     """Each rank's cube rows with their orbit labels, and (rank, size, min
-    mask, label) of each class in class order.
+    mask, label) of each class in class order; labels are unique within a rank.
 
     Rank k+1 is the orbit of each rank-k class representative plus each
     positive root orthogonal to it: conjugating a rank-k part of a cube to its
     representative sends the extra root to plus or minus such a root."""
     engine = _mask_engine(rs)
-    layers, classes, candidates, seeds = [], [], [0], 0
+    layers, classes, candidates = [], [], [0]
     while candidates:
         rows, labels = engine.orbit(engine.rows(candidates))
-        labels += seeds  # unique across ranks
-        seeds += len(candidates)
         layers.append((rows, labels))
         found = _orbit_classes(engine, rows, labels)
         classes += [(mask.bit_count(), size, mask, label) for size, mask, label in found]
@@ -475,10 +548,10 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
     layers, classes = _cube_orbits(rs)
     within = sub.positive_closure_mask()
     outside = ~_mask_engine(rs).rows([within])[0]
-    hit, found = set(), 0
+    hit, found = [], 0  # the labels of each rank that the subsystem holds
     for rows, labels in layers:
         inside = ~(rows & outside).any(axis=1)
-        hit.update(labels[inside].tolist())
+        hit.append(set(labels[inside].tolist()))
         found += int(np.count_nonzero(inside))
     # The layer rows are distinct cubes, so those inside the subsystem are
     # some of its cliques; as many as there are cliques means all of them.
@@ -486,7 +559,7 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
         raise InternalError(
             "a cube of the subsystem is missing from the cube layers; "
             "enumeration is incomplete")
-    rows = tuple((rank, size, label in hit) for rank, size, _, label in classes)
+    rows = tuple((rank, size, label in hit[rank]) for rank, size, _, label in classes)
     all_covered = all(covered for _, _, covered in rows)
     odd = index % 2 == 1
     return ReductionReport(

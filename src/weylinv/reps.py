@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, Optional, Sequence
 
@@ -88,12 +89,15 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
             raise ValueError(f"{rs.type_spec} has no subsystem of type {sub}")
         sub = emb
     engine = _mask_engine(rs)
-    orbit = engine.bit_matrix(engine.orbit(engine.rows([sub.positive_closure_mask()]))[0])
+    orbit = engine.orbit(engine.rows([sub.positive_closure_mask()]))[0]
     P = rs.n_positive
 
+    @lru_cache(maxsize=1 << rs.rank)  # the catalogue's sums and tensors repeat elements
+    def fixed(fold: bytes) -> int:  # bit i of a mask goes to bit fold[i]
+        return engine.fixed_points(orbit, np.frombuffer(fold, dtype=np.int16))
+
     def tr(g: GroupElement) -> int:
-        fold = g.images[:P] % P  # bit i of a mask goes to bit fold[i]
-        return int(np.count_nonzero((orbit[:, fold] == orbit).all(axis=1)))
+        return fixed((g.images[:P] % P).astype(np.int16).tobytes())
 
     return Representation(f"conj[{sub.sub_type}]", len(orbit), rs, tr)
 

@@ -393,10 +393,15 @@ def check_packing(name, words):
     assert rows.astype("<u8").tobytes() == \
         b"".join(m.to_bytes(8 * words, "little") for m in masks)  # byte j: bits 8j..8j+7
     assert [engine.mask(row) for row in rows] == masks
-    bits = engine.bit_matrix(rows)
-    assert bits.flags.f_contiguous  # the permutation traces gather columns
-    assert bits.tolist() == \
-        [[bool(m >> i & 1) for i in range(rs.n_positive)] for m in masks]
+    perm = list(range(rs.n_positive))
+    for a, b in zip(*[iter(rng.sample(perm, 20))] * 2):  # ten swapped pairs of bits
+        perm[a], perm[b] = b, a
+
+    def image(m):
+        return sum(1 << perm[i] for i in range(rs.n_positive) if m >> i & 1)
+    tested = masks + [m | image(m) for m in masks]  # the second half are fixed
+    assert engine.fixed_points(engine.rows(tested), np.array(perm)) == \
+        sum(image(m) == m for m in tested) >= len(masks)
     fused = engine.apply(rows, engine.fused).reshape(len(rows), -1, words + 1)
     actions = python_mask_actions(rs)
     assert len(actions) == fused.shape[1]
@@ -528,6 +533,73 @@ def test_engine_rejects_key_collision_with_the_current_level(monkeypatch):
     engine = MaskEngine(rs)
     with pytest.raises(InternalError, match="share a 64-bit key"):
         engine.orbit(engine.rows([0b001]))
+
+
+def test_engine_rejects_key_collision_with_a_stored_orbit(monkeypatch):
+    from weylinv import InternalError
+    from weylinv import involutions
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("B2")  # the long and the short roots are two orbits
+    engine = MaskEngine(rs)
+    stored = [engine.mask(row).bit_length() - 1 for row in engine.orbit(engine.rows([0b1]))[0]]
+    seed = min(set(range(rs.n_positive)) - set(stored))
+    keys = involutions._bit_keys(rs.n_positive)
+    keys[seed] = keys[stored[-1]]  # the seed shares the key of a stored root of the other orbit
+    monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
+    engine = MaskEngine(rs)
+    engine.orbit(engine.rows([0b1]))
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        engine.orbit(engine.rows([1 << seed]))
+
+
+def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
+    from weylinv import conj_subsystem_rep
+    from weylinv.involutions import MaskEngine, _cube_orbits, _mask_engine
+    searched = []
+    search = MaskEngine._search
+
+    def counted(self, *args):
+        found = search(self, *args)
+        searched.append(len(found.rows))
+        return found
+    monkeypatch.setattr(MaskEngine, "_search", counted)
+    rs = build_root_system("E7")
+    assert involution_count(rs) == sum(searched) == 10208
+    searched.clear()
+    assert sum(c.size for c in classify_cubes(rs)) == 13744
+    assert sum(searched) == 4860  # the rest are involution orbits
+    searched.clear()
+    for target in ("A1", "D2", "D4"):
+        conj_subsystem_rep(rs, target)
+    assert searched == []
+    # a cube layer that is all of a stored search is that search's rows
+    assert _cube_orbits(rs)[0][1][0] is _mask_engine(rs)._stored[1].rows
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "F4", "D6", "A1xD6"])
+def test_results_do_not_depend_on_what_ran_before(name):
+    from weylinv import conj_subsystem_rep
+
+    def involutions(rs):
+        return [(c.class_id, c.degree, c.size, c.splitting.roots, c.representative.mask)
+                for c in classify_involutions(rs)]
+
+    def cubes(rs):
+        return [(c.rank, c.size, c.representative.roots) for c in classify_cubes(rs)]
+
+    def reductions(rs):
+        return [verify_reduction(rs, find_subsystem(rs, sub))
+                for amb, sub, _ in REDUCTION_PAIRS if amb == name]
+
+    def conjugates(rs):
+        return [conj_subsystem_rep(rs, target).dim for target in ("A1", "D2", "D4")]
+
+    steps = [involutions, cubes, reductions, conjugates]
+    fresh = [step(build_root_system(name)) for step in steps]
+    for order in ([0, 1, 2, 3], [1, 0, 2, 3], [3, 2, 1, 0]):
+        rs = build_root_system(name)
+        found = {i: steps[i](rs) for i in order}
+        assert [found[i] for i in range(len(steps))] == fresh, order
 
 
 def test_engine_stops_past_the_longest_element():
