@@ -87,7 +87,8 @@ class MaskEngine:
         P = rs.n_positive
         self.nbits = P
         self.nwords = (P + 63) // 64
-        per_bit = np.hstack([self.rows([1 << i for i in range(P)]), _bit_keys(P)[:, None]])
+        self._units = self.rows([1 << i for i in range(P)])  # row i: mask bit i alone
+        per_bit = np.hstack([self._units, _bit_keys(P)[:, None]])
         self._key_tables = self._byte_tables(per_bit[:, -1:])
         perms = [rs.positive_perm(p) for p in rs.simple_reflection_perms()]
         self.fused = self._byte_tables(np.hstack([per_bit[perm] for perm in perms]))
@@ -131,9 +132,7 @@ class MaskEngine:
 
     def fixed_points(self, rows: np.ndarray, perm: np.ndarray) -> int:
         """How many rows the permutation sending mask bit i to bit perm[i] fixes."""
-        per_bit = np.zeros((self.nbits, self.nwords), dtype=_WORD)
-        per_bit[np.arange(self.nbits), perm // 64] = np.uint64(1) << (perm % 64).astype(_WORD)
-        same = self.apply(rows, self._byte_tables(per_bit)) == rows
+        same = self.apply(rows, self._byte_tables(self._units[perm])) == rows
         return int(np.count_nonzero(reduce(np.logical_and, same.T)))  # in every word
 
     def orbit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Callable, Optional, Sequence
 
@@ -92,14 +91,27 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
     orbit = engine.orbit(engine.rows([sub.positive_closure_mask()]))[0]
     P = rs.n_positive
 
-    @lru_cache(maxsize=1 << rs.rank)  # the catalogue's sums and tensors repeat elements
-    def fixed(fold: bytes) -> int:  # bit i of a mask goes to bit fold[i]
-        return engine.fixed_points(orbit, np.frombuffer(fold, dtype=np.int16))
+    def tr(g: GroupElement) -> int:  # bit i of a mask goes to bit images[i] % P
+        return engine.fixed_points(orbit, g.images[:P] % P)
 
-    def tr(g: GroupElement) -> int:
-        return fixed((g.images[:P] % P).astype(np.int16).tobytes())
+    return Representation(f"conj[{sub.sub_type}]", len(orbit), rs, _per_element(rs, tr))
 
-    return Representation(f"conj[{sub.sub_type}]", len(orbit), rs, tr)
+
+def _per_element(rs: RootSystem, fn: Callable[[GroupElement], object]) -> Callable:
+    """fn memoized by element: the catalogue's sums and tensors, and the
+    gap search's pairs, ask for the same element again and again.  It holds
+    at most the 2^rank elements of a largest cube."""
+    memo: dict = {}
+
+    def call(g: GroupElement):
+        key = g.images.tobytes()
+        if key not in memo:
+            if len(memo) >= 1 << rs.rank:
+                memo.clear()
+            memo[key] = fn(g)
+        return memo[key]
+
+    return call
 
 
 def _is_involution(g: GroupElement) -> bool:
@@ -183,16 +195,6 @@ def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representati
     plus = np.array([rs.index_of(row) for row in unit + other])
     minus = np.array([rs.index_of(row) for row in unit - other])
 
-    memo: dict[bytes, tuple[int, int]] = {}  # both halves read one pass per element
-
-    def char_pair(g: GroupElement) -> tuple[int, int]:
-        key = g.images.tobytes()
-        if key not in memo:
-            if len(memo) >= 1 << rs.rank:  # the elements of a largest cube
-                memo.clear()
-            memo[key] = subset_traces(g)
-        return memo[key]
-
     def subset_traces(g: GroupElement) -> tuple[int, int]:
         perm, sign = _signed_axis_action(rs, g, plus, minus)
         plain = 0
@@ -208,6 +210,8 @@ def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representati
                 # contribution of A^c -> A composed with the complement map
                 twisted += s
         return plain, twisted
+
+    char_pair = _per_element(rs, subset_traces)  # both halves read one pass per element
 
     def tr_plus(g: GroupElement) -> int:
         plain, twisted = char_pair(g)
