@@ -19,8 +19,9 @@ are skipped; the others are looked up by key in the current level only.
 Every key match and every repeated key is compared row by row, and a last
 pass checks that keys are distinct across levels, so two masks sharing a key
 raise InternalError instead of merging two orbits.  A union-find over the
-seeds labels the orbits.  An orbit comes out as its rows and their labels,
-in no particular order; the least row of each label is its representative.
+seeds labels the orbits; a stored search records each orbit's size and least
+mask.  Callers get those classes and counts of an orbit's masks inside a
+given mask; only a permutation representation reads one orbit's rows.
 
 The engine of a root system stores every search, read-only, and searches
 only the given masks found in none.  The number of bits set, which
@@ -135,39 +136,42 @@ class MaskEngine:
         same = self.apply(rows, self._byte_tables(self._units[perm])) == rows
         return int(np.count_nonzero(reduce(np.logical_and, same.T)))  # in every word
 
-    def orbit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every mask in the orbits of the given rows, as (rows, labels) in no
-        particular order; rows share a label exactly when they share an orbit,
-        and a label is the least index of a given row in that orbit.
+    def classes(self, rows: np.ndarray) -> list[tuple[int, int]]:
+        """(size, least mask) of each orbit through the given rows, sorted."""
+        where, at = self._locate(rows)
+        return sorted({self._stored[s].orbits[self._stored[s].labels[i]]
+                       for s, i in zip(where.tolist(), at.tolist())})
 
-        The given rows found in no stored search are searched together and
-        the search is stored; the answer shares the arrays of a stored
-        search when it is the whole of one."""
-        keys = self.keys(rows)
-        sizes = np.unpackbits(self._bytes(rows), axis=1).sum(axis=1)  # conjugation keeps them
-        where, at = self._find(rows, keys, sizes)
-        miss = np.flatnonzero(where < 0)
-        if len(miss):
-            new = self._search(rows[miss], keys[miss], sizes[miss])
-            self._stored.append(new)
-            if len(miss) == len(rows):
-                return new.rows, new.labels
-            where[miss] = len(self._stored) - 1  # the seeds are level 0
-            at[miss] = np.searchsorted(new.keys[:new.starts[1]], keys[miss])
-        pieces, n = [], len(rows)
-        for s in sorted(set(where.tolist())):  # np.unique would import numpy.ma
+    def orbit_rows(self, mask: int) -> np.ndarray:
+        """The rows of the orbit of a mask: a stored array when the orbit is
+        the whole of its search, else a copy of that orbit's rows."""
+        (s,), (i,) = self._locate(self.rows([mask]))
+        search = self._stored[s]
+        if len(search.orbits) == 1:
+            return search.rows
+        return search.rows[search.labels == search.labels[i]]
+
+    def count_inside(self, rows: np.ndarray, within: int) -> np.ndarray:
+        """For the orbit of each given row, how many of its masks lie inside
+        the mask within."""
+        where, at = self._locate(rows)
+        outside = ~self.rows([within])[0]
+        counts = np.zeros(len(rows), dtype=int)
+        for s in set(where.tolist()):
             found, search = np.flatnonzero(where == s), self._stored[s]
-            least = np.full(search.nseeds, n, dtype=np.min_scalar_type(n))
-            np.minimum.at(least, search.labels[at[found]], found.astype(least.dtype))
-            labels = least[search.labels]  # n for the orbits no given row is in
-            take = labels < n
-            pieces.append((search.rows, labels) if take.all()
-                          else (search.rows[take], labels[take]))
-        return pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
+            labels = search.labels[at[found]]
+            inside = ~(search.rows & outside).any(axis=1)
+            counts[found] = np.bincount(search.labels[inside],
+                                        minlength=int(labels.max()) + 1)[labels]
+        return counts
 
-    def _find(self, rows: np.ndarray, keys: np.ndarray, sizes: np.ndarray) -> tuple:
-        """(stored search, row) of each given row, search -1 where it is in
-        none; sizes are the numbers of bits set in the given rows."""
+    def _locate(self, rows: np.ndarray) -> tuple:
+        """(stored search, row in it) of each given row.  The number of bits
+        set, which conjugation keeps, skips the stored searches that hold no
+        mask of that size; the given rows found in none are searched together
+        and the search is stored."""
+        keys = self.keys(rows)
+        sizes = np.unpackbits(self._bytes(rows), axis=1).sum(axis=1)
         where, at = np.full(len(rows), -1), np.zeros(len(rows), dtype=np.intp)
         for s, search in enumerate(self._stored):
             look = np.flatnonzero(search.holds[sizes])
@@ -179,6 +183,12 @@ class MaskEngine:
                 hit = search.keys[pos] == look_keys
                 _no_collision(np.array_equal(search.rows[pos[hit]], look_rows[hit]))
                 where[look[hit]], at[look[hit]] = s, pos[hit]
+        miss = np.flatnonzero(where < 0)
+        if len(miss):
+            new = self._search(rows[miss], keys[miss], sizes[miss])
+            self._stored.append(new)
+            where[miss] = len(self._stored) - 1  # the seeds are level 0
+            at[miss] = np.searchsorted(new.keys[:new.starts[1]], keys[miss])
         return where, at
 
     def _search(self, rows: np.ndarray, keys: np.ndarray, sizes: np.ndarray) -> _Search:
@@ -234,13 +244,13 @@ class MaskEngine:
         labels = root.astype(seeds.dtype)[seeds]
         for part in rows, keys, labels:
             part.flags.writeable = False
-        return _Search(rows, keys, labels, starts, holds, len(root))
+        return _Search(rows, keys, labels, starts, holds, _orbit_classes(self, rows, labels))
 
 
 # One stored search, its arrays read-only: the rows level by level, each level
 # sorted by key, with their keys and labels; where each level starts, and the
-# end; holds[k] when it holds masks of k bits; its number of seeds.
-_Search = namedtuple("_Search", "rows keys labels starts holds nseeds")
+# end; holds[k] when it holds masks of k bits; (size, least mask) of each label.
+_Search = namedtuple("_Search", "rows keys labels starts holds orbits")
 
 
 @per_system
@@ -264,17 +274,17 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return root
 
 
-def _orbit_classes(engine: MaskEngine, rows: np.ndarray, labels: np.ndarray) -> list:
-    """(size, minimal mask, label) of each orbit, sorted, from an orbit's output."""
-    found = []
+def _orbit_classes(engine: MaskEngine, rows: np.ndarray, labels: np.ndarray) -> dict:
+    """(size, least mask) of the rows of each label, by label."""
+    found = {}
     order = np.argsort(labels, kind="stable")  # one sort; stable is linear on equal runs
     for least in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
         size, label = len(least), int(labels[least[0]])  # least: row indices of one label
         for w in reversed(range(engine.nwords)):  # the most significant word first
             word = rows[least, w]
             least = least[word == word.min()]
-        found.append((size, engine.mask(rows[least[0]]), label))
-    return sorted(found)
+        found[label] = size, engine.mask(rows[least[0]])
+    return found
 
 
 # -- cubes ------------------------------------------------------------------
@@ -432,12 +442,10 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
     """Conjugacy classes of involutions, sorted by (degree, size, minimal key)."""
     engine = _mask_engine(rs)
     classes: list[InvolutionClass] = []
-    candidates = [0]
-    degree = 0
+    candidates, degree = [0], 0
     while candidates:
-        rows, labels = engine.orbit(engine.rows(candidates))
-        candidates = []
-        for ordinal, (size, mask, _) in enumerate(_orbit_classes(engine, rows, labels)):
+        found, candidates = engine.classes(engine.rows(candidates)), []
+        for ordinal, (size, mask) in enumerate(found):
             cube = Cube(rs, _greedy_roots(rs, mask))
             inv = involution_from_cube(cube)
             if inv.degree != degree or inv.mask != mask:
@@ -480,30 +488,21 @@ def _orthogonal_to(rs: RootSystem, roots: Sequence[int]) -> int:
 
 
 @per_system
-def _cube_orbits(rs: RootSystem) -> tuple[list, list]:
-    """Each rank's cube rows with their orbit labels, and (rank, size, min
-    mask, label) of each class in class order; labels are unique within a rank.
+def classify_cubes(rs: RootSystem) -> list[CubeClass]:
+    """Conjugacy classes of cubes, sorted by (rank, size, minimal key).
 
     Rank k+1 is the orbit of each rank-k class representative plus each
     positive root orthogonal to it: conjugating a rank-k part of a cube to its
     representative sends the extra root to plus or minus such a root."""
     engine = _mask_engine(rs)
-    layers, classes, candidates = [], [], [0]
+    classes, candidates = [], [0]
     while candidates:
-        rows, labels = engine.orbit(engine.rows(candidates))
-        layers.append((rows, labels))
-        found = _orbit_classes(engine, rows, labels)
-        classes += [(mask.bit_count(), size, mask, label) for size, mask, label in found]
-        candidates = [mask | 1 << b for _, mask, _ in found
+        found = engine.classes(engine.rows(candidates))
+        classes += [CubeClass(Cube(rs, _mask_bits(mask)), mask.bit_count(), size)
+                    for size, mask in found]
+        candidates = [mask | 1 << b for _, mask in found
                       for b in _mask_bits(_orthogonal_to(rs, _mask_bits(mask)))]
-    return layers, classes
-
-
-@per_system
-def classify_cubes(rs: RootSystem) -> list[CubeClass]:
-    """Conjugacy classes of cubes, sorted by (rank, size, minimal key)."""
-    return [CubeClass(Cube(rs, _mask_bits(mask)), rank, size)
-            for rank, size, mask, _ in _cube_orbits(rs)[1]]
+    return classes
 
 
 # -- odd-index reductions ----------------------------------------------------
@@ -544,21 +543,14 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
     if total % sub_order:
         raise InternalError("subgroup order does not divide the group order")
     index = total // sub_order
-    layers, classes = _cube_orbits(rs)
-    within = sub.positive_closure_mask()
-    outside = ~_mask_engine(rs).rows([within])[0]
-    hit, found = [], 0  # the labels of each rank that the subsystem holds
-    for rows, labels in layers:
-        inside = ~(rows & outside).any(axis=1)
-        hit.append(set(labels[inside].tolist()))
-        found += int(np.count_nonzero(inside))
-    # The layer rows are distinct cubes, so those inside the subsystem are
-    # some of its cliques; as many as there are cliques means all of them.
-    if found != sum(1 for _ in _clique_masks(rs, within)):
+    classes, within, engine = classify_cubes(rs), sub.positive_closure_mask(), _mask_engine(rs)
+    inside = engine.count_inside(engine.rows([c.representative.mask for c in classes]), within)
+    # The classes' orbits are disjoint sets of cubes, so the cubes inside the
+    # subsystem are some of its cliques; as many as there are cliques means all.
+    if int(inside.sum()) != sum(1 for _ in _clique_masks(rs, within)):
         raise InternalError(
-            "a cube of the subsystem is missing from the cube layers; "
-            "enumeration is incomplete")
-    rows = tuple((rank, size, label in hit[rank]) for rank, size, _, label in classes)
+            "a cube of the subsystem is in no cube class; enumeration is incomplete")
+    rows = tuple((c.rank, c.size, bool(n)) for c, n in zip(classes, inside.tolist()))
     all_covered = all(covered for _, _, covered in rows)
     odd = index % 2 == 1
     return ReductionReport(

@@ -66,7 +66,7 @@ def sign_rep(rs: RootSystem) -> Representation:
 
 def perm_roots_rep(rs: RootSystem) -> Representation:
     """Permutation representation on the full root list."""
-    n = len(rs.roots)
+    n = len(rs)
     idx = np.arange(n, dtype=np.int16)
 
     def tr(g: GroupElement) -> int:
@@ -88,7 +88,7 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
             raise ValueError(f"{rs.type_spec} has no subsystem of type {sub}")
         sub = emb
     engine = _mask_engine(rs)
-    orbit = engine.orbit(engine.rows([sub.positive_closure_mask()]))[0]
+    orbit = engine.orbit_rows(sub.positive_closure_mask())
     P = rs.n_positive
 
     def tr(g: GroupElement) -> int:  # bit i of a mask goes to bit images[i] % P

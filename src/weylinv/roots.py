@@ -8,8 +8,8 @@ inner products exact integer arithmetic; the public API exposes Fractions.
 
 One numpy closure, `_close`, finds the roots of a system and of each
 subsystem level by level in simple-root coordinates.  One exact lookup maps
-coordinates back to root indices.  The P x P tables over positive roots are
-built only when a classification or a subsystem search first reads them.
+coordinates back to root indices.  The `Root` objects, and the P x P tables
+over positive roots, are built only when something first reads them.
 """
 
 from __future__ import annotations
@@ -248,7 +248,8 @@ class RootSystem:
     is the negative of root i, where P is the number of positive roots.  The
     roots are found by `_close` in simple-root coordinates, and every map
     from coordinates back to an index goes through the one exact `_lookup`.
-    The P x P tables `cartan_table` and `orth_masks` are built on first use.
+    The `Root` objects of `roots` and the P x P tables `cartan_table` and
+    `orth_masks` are built on first use.
     Immutable after construction; what is derived from it is memoized in
     `_memo` by the functions decorated with `per_system`.
     """
@@ -269,13 +270,9 @@ class RootSystem:
         icoords = scoords @ simples
         # by height, then coordinates; lexsort's last key is its first
         order = np.lexsort(np.vstack([icoords[:, ::-1].T, height[positive]]))
-        self._scoord_mat = scoords = np.concatenate([scoords[order], -scoords[order]])
+        self._scoord_mat = np.concatenate([scoords[order], -scoords[order]])
         self._icoord_mat = np.concatenate([icoords[order], -icoords[order]])
-        self.n_positive = P = len(order)
-        self.roots: list[Root] = [
-            Root(tuple(ic), tuple(sc), idx, idx < P) for idx, (ic, sc)
-            in enumerate(zip(self._icoord_mat.tolist(), scoords.tolist()))]
-
+        self.n_positive = len(order)
         self._by_bytes = np.argsort(_key(self._icoord_mat))
         self.simple_indices = tuple(self._lookup(simples).tolist())
         self._refl_cache: dict[int, np.ndarray] = {}
@@ -283,6 +280,12 @@ class RootSystem:
     def _lookup(self, coords: np.ndarray) -> np.ndarray:
         """Index of each row of doubled coordinates, or -1 where it is no root."""
         return _search(self._icoord_mat, coords, self._by_bytes)
+
+    @cached_property
+    def roots(self) -> list[Root]:
+        """Every root as a `Root`, positive roots first."""
+        return [Root(tuple(ic), tuple(sc), idx, idx < self.n_positive) for idx, (ic, sc)
+                in enumerate(zip(self._icoord_mat.tolist(), self._scoord_mat.tolist()))]
 
     @cached_property
     def cartan_table(self) -> np.ndarray:
@@ -300,7 +303,7 @@ class RootSystem:
     # -- basic queries -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self._icoord_mat)
 
     @property
     def simple_roots(self) -> list[Root]:
@@ -325,8 +328,7 @@ class RootSystem:
         return idx
 
     def inner(self, i: int, j: int) -> Fraction:
-        a, b = self.roots[i].icoords, self.roots[j].icoords
-        return Fraction(sum(x * y for x, y in zip(a, b)), 4)
+        return Fraction(int(self._icoord_mat[i] @ self._icoord_mat[j]), 4)
 
     def inner_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         if len(u) != len(v):
@@ -369,8 +371,8 @@ class RootSystem:
         return {
             "type": str(self.type_spec),
             "rank": self.rank,
-            "roots": [[str(Fraction(c, 2)) for c in r.icoords]
-                      for r in self.roots],
+            "roots": [[str(Fraction(c, 2)) for c in row]
+                      for row in self._icoord_mat.tolist()],
         }
 
 

@@ -52,7 +52,7 @@ class GroupElement:
 
 @per_system
 def _id_images(rs: RootSystem) -> np.ndarray:
-    images = np.arange(len(rs.roots), dtype=np.int16)
+    images = np.arange(len(rs), dtype=np.int16)
     images.setflags(write=False)
     return images
 

@@ -12,7 +12,7 @@ from weylinv import (Cube, Involution, build_root_system, classify_cubes,
                      group_order, identity, invert, involution_count,
                      involution_from_cube, simple_reflections, split_involution,
                      stab_chain, verify_reduction)
-from weylinv.roots import per_system
+from weylinv.roots import RootSystem, per_system
 from weylinv.verify import REDUCTION_PAIRS
 
 
@@ -436,9 +436,9 @@ def test_engine_least_row_across_words(name, words):
     rng.shuffle(masks)
     rows = engine.rows(masks)
     labels = np.array([rng.randrange(6) for _ in masks])
-    expected = sorted((int(np.count_nonzero(labels == label)),
-                       min(engine.mask(row) for row in rows[labels == label]), label)
-                      for label in set(labels.tolist()))
+    expected = {label: (int(np.count_nonzero(labels == label)),
+                        min(engine.mask(row) for row in rows[labels == label]))
+                for label in set(labels.tolist())}
     assert len(expected) > 1
     assert _orbit_classes(engine, rows, labels) == expected
 
@@ -459,35 +459,41 @@ def test_engine_orbit_labels_match_orbit_partition(name):
     seeds += rng.sample(seeds, len(seeds) // 4)  # and masks seeded twice
     rng.shuffle(seeds)
     engine = MaskEngine(rs)
-    rows, labels = engine.orbit(engine.rows([mask for _, mask in seeds]))
-    assert sorted(engine.mask(row) for row in rows) == \
-        sorted(mask for orbit in oracle for mask in orbit)
-    index = {engine.mask(row): i for i, row in enumerate(rows)}
-    found = [index[mask] for _, mask in seeds]
-    label_of = {}
-    for (orbit, _), label in zip(seeds, labels[found].tolist()):
-        assert label_of.setdefault(orbit, label) == label  # one label per orbit
-    assert label_of == {orbit: min(j for j, (o, _) in enumerate(seeds) if o == orbit)
-                        for orbit in label_of}  # the least seed of the orbit
-    sizes = {label: int(n) for label, n in zip(*np.unique(labels, return_counts=True))}
-    assert all(sizes[label_of[i]] == len(orbit) for i, orbit in enumerate(oracle))
+    # one search of every seed: the labels must join exactly each orbit's seeds
+    assert engine.classes(engine.rows([mask for _, mask in seeds])) == \
+        sorted((len(orbit), min(orbit)) for orbit in oracle)
+    assert len(engine._stored) == 1
+    for i, mask in seeds:
+        assert sorted(engine.mask(row) for row in engine.orbit_rows(mask)) == sorted(oracle[i])
+    assert len(engine._stored) == 1
 
 
-def test_reduction_rejects_a_cube_missing_from_the_layers():
+def test_reduction_rejects_a_cube_class_missing_from_the_table():
     from weylinv import InternalError
-    from weylinv.involutions import _cube_orbits, _mask_engine
     rs = build_root_system("F4")  # not the shared system: its memo is altered
     sub = find_subsystem(rs, "B4")
     assert verify_reduction(rs, sub).passed
-    layers, _ = _cube_orbits(rs)
-    rows, labels = layers[2]
-    engine, within = _mask_engine(rs), sub.positive_closure_mask()
-    inside = [i for i, row in enumerate(rows) if engine.mask(row) & ~within == 0]
-    # a cube whose class another cube of the subsystem still hits
-    drop = next(i for i in inside if np.count_nonzero(labels[inside] == labels[i]) > 1)
-    layers[2] = np.delete(rows, drop, axis=0), np.delete(labels, drop)
-    with pytest.raises(InternalError, match="missing from the cube layers"):
+    # the rest are all covered, so only the count of the subsystem's cubes notices
+    del classify_cubes(rs)[0]  # the empty cube's class, in every subsystem
+    with pytest.raises(InternalError, match="enumeration is incomplete"):
         verify_reduction(rs, sub)
+
+
+def test_reduction_counts_each_class_inside_the_subsystem():
+    from weylinv import orbit_partition
+    from weylinv.involutions import _clique_masks, _mask_engine
+    rs = build_root_system("F4")
+    sub = find_subsystem(rs, "B4")
+    within = sub.positive_closure_mask()
+    inside = [mask for mask in _clique_masks(rs) if mask & ~within == 0]
+    classes = classify_cubes(rs)
+    engine = _mask_engine(rs)
+    counts = engine.count_inside(engine.rows([c.representative.mask for c in classes]), within)
+    oracle = orbit_partition(list(_clique_masks(rs)), python_mask_actions(rs))
+    by_least = {min(orbit): orbit for orbit in oracle}
+    assert counts.tolist() == [sum(m in inside for m in by_least[c.representative.mask])
+                               for c in classes]
+    assert sum(counts.tolist()) == len(inside)
 
 
 def test_engine_rejects_key_collision(monkeypatch):
@@ -518,7 +524,7 @@ def test_engine_rejects_key_collision_across_levels(monkeypatch):
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
     engine = MaskEngine(rs)
     with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.orbit(engine.rows([0b1]))
+        engine.classes(engine.rows([0b1]))
 
 
 def test_engine_rejects_key_collision_with_the_current_level(monkeypatch):
@@ -532,7 +538,7 @@ def test_engine_rejects_key_collision_with_the_current_level(monkeypatch):
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
     engine = MaskEngine(rs)
     with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.orbit(engine.rows([0b001]))
+        engine.classes(engine.rows([0b001]))
 
 
 def test_engine_rejects_key_collision_with_a_stored_orbit(monkeypatch):
@@ -541,20 +547,20 @@ def test_engine_rejects_key_collision_with_a_stored_orbit(monkeypatch):
     from weylinv.involutions import MaskEngine
     rs = build_root_system("B2")  # the long and the short roots are two orbits
     engine = MaskEngine(rs)
-    stored = [engine.mask(row).bit_length() - 1 for row in engine.orbit(engine.rows([0b1]))[0]]
+    stored = [engine.mask(row).bit_length() - 1 for row in engine.orbit_rows(0b1)]
     seed = min(set(range(rs.n_positive)) - set(stored))
     keys = involutions._bit_keys(rs.n_positive)
     keys[seed] = keys[stored[-1]]  # the seed shares the key of a stored root of the other orbit
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
     engine = MaskEngine(rs)
-    engine.orbit(engine.rows([0b1]))
+    engine.classes(engine.rows([0b1]))
     with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.orbit(engine.rows([1 << seed]))
+        engine.classes(engine.rows([1 << seed]))
 
 
 def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
     from weylinv import conj_subsystem_rep
-    from weylinv.involutions import MaskEngine, _cube_orbits, _mask_engine
+    from weylinv.involutions import MaskEngine, _mask_engine
     searched = []
     search = MaskEngine._search
 
@@ -572,8 +578,40 @@ def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
     for target in ("A1", "D2", "D4"):
         conj_subsystem_rep(rs, target)
     assert searched == []
-    # a cube layer that is all of a stored search is that search's rows
-    assert _cube_orbits(rs)[0][1][0] is _mask_engine(rs)._stored[1].rows
+    # an orbit that is all of a stored search is that search's rows, not a copy
+    engine = _mask_engine(rs)
+    assert engine.orbit_rows(find_subsystem(rs, "A1").positive_closure_mask()) \
+        is engine._stored[1].rows
+
+
+def test_no_orbit_rows_outside_the_engine():
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("E7")
+    classify_involutions(rs)
+    classify_cubes(rs)
+    for sub in ("A1", "A1xD6"):
+        verify_reduction(rs, find_subsystem(rs, sub))
+    held, seen = [], set()
+
+    def walk(value):
+        if id(value) in seen or isinstance(value, (RootSystem, MaskEngine)):
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            held.append(value)
+        elif isinstance(value, dict):
+            for item in value.items():
+                walk(item)
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            for item in value:
+                walk(item)
+        else:
+            for name in getattr(type(value), "__slots__", ()):
+                walk(getattr(value, name, None))
+            walk(getattr(value, "__dict__", None))
+    walk(list(rs._memo.values()))
+    assert held  # the walk reaches the classes' group elements
+    assert not [a for a in held if a.dtype == np.uint64]  # packed mask rows
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "F4", "D6", "A1xD6"])
@@ -609,7 +647,7 @@ def test_engine_stops_past_the_longest_element():
     engine = MaskEngine(rs)
     engine.nbits = 2  # as if no reduced word were longer than two reflections
     with pytest.raises(InternalError, match="past the longest element"):
-        engine.orbit(engine.rows([0b1]))  # some roots are three reflections from root 0
+        engine.classes(engine.rows([0b1]))  # some roots are three reflections from root 0
 
 
 @pytest.mark.parametrize("amb,sub", [(amb, sub) for amb, sub, _ in REDUCTION_PAIRS])

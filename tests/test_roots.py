@@ -227,6 +227,21 @@ def test_group_order_builds_no_positive_root_tables():
     assert rs._refl_cache == {}
 
 
+def test_roots_are_built_on_first_read():
+    from weylinv import classify_cubes, classify_involutions, verify_reduction
+    rs = build_root_system("E7")
+    group_order(rs)
+    classify_involutions(rs)
+    classify_cubes(rs)
+    verify_reduction(rs, find_subsystem(rs, "A1xD6"))
+    assert len(rs) == 126 and rs.inner(0, 0) == 2
+    json_roots = rs.to_json_dict()["roots"]
+    assert "roots" not in rs.__dict__
+    assert json_roots == [[str(c) for c in r.coords] for r in rs.roots]
+    assert [rs.inner(0, j) for j in range(len(rs))] == \
+        [sum(a * b for a, b in zip(rs.roots[0].coords, r.coords)) for r in rs.roots]
+
+
 def test_positivity_by_first_simple_coordinate(system):
     rs = system("B3")
     for r in rs.roots:
