@@ -16,6 +16,15 @@ the -1 eigenspace of the product g_S of the reflections in S, so sw_k
 transforms to {S : N(S) & k == k} (Lucas).  The top coefficient of a
 homogeneous element, which pairing with an involution class reads on the
 class's splitting cube, is the popcount parity of its transform.
+
+A trace must be a character, a class function, since restriction reads it
+once per involution orbit: N(S) is read off the value on the orbit of g_S
+(Representation.class_value), and the transform of sw_k, the union of the
+sets of S whose g_S lies in an orbit where N(S) & k == k, is built only for
+the k asked for.  The orbits of a cube's products are looked up in the
+orbit engine once per cube, and kept while a representation restricted to
+the cube lives; restricting a cube searches only those orbits of its
+products that are not stored yet.
 """
 
 from __future__ import annotations
@@ -23,13 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Iterable, Optional, Sequence
+from weakref import WeakValueDictionary
 
 import numpy as np
 
-from .roots import InternalError, RootSystem
-from .involutions import Cube, InvolutionClass
+from .roots import InternalError, RootSystem, per_system
+from .involutions import Cube, InvolutionClass, _mask_engine
 from .reps import Representation
-from .weyl import GroupElement, identity
 
 
 def _carryless_mul(a: int, b: int) -> int:
@@ -317,18 +326,61 @@ def _hadamard(n: int) -> np.ndarray:
                   np.ones((1, 1), dtype=np.int8))
 
 
-def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int]]:
-    """The character multiplicities of rep on the cube and the transform of
-    each sw_k restricted there, k = 0..dim, memoized on rep."""
+class _Products:
+    """The orbits of the 2^n products g_S of a cube: the least mask of each
+    orbit they meet, the index in that tuple of the orbit of each g_S, and
+    the bitmask of the S whose g_S lies in each orbit."""
+
+    __slots__ = ("orbits", "of_s", "members", "__weakref__")
+
+    def __init__(self, orbits: tuple[int, ...], of_s: np.ndarray, members: tuple[int, ...]):
+        self.orbits, self.of_s, self.members = orbits, of_s, members
+
+
+@per_system
+def _product_orbits(rs: RootSystem) -> WeakValueDictionary:
+    """Cube roots -> _Products, for as long as a representation restricted
+    to the cube holds them."""
+    return WeakValueDictionary()
+
+
+def _product_classes(cube: Cube) -> _Products:
+    """The orbits of the products of a cube, worked out once per cube.  The
+    engine reads each product's orbit off its stored searches, and searches
+    only the orbits none of them holds."""
+    memo = _product_orbits(cube.home)
+    found = memo.get(cube.roots)
+    if found is None:
+        rs = cube.home
+        images = np.arange(2 * rs.n_positive, dtype=np.int16)[None]  # row S is g_S
+        for i in cube.roots:
+            images = np.vstack([images, images[:, rs.reflection_perm(i)]])
+        engine = _mask_engine(rs)
+        index: dict[int, int] = {}
+        of_s, members = [], []
+        for s, (_, least) in enumerate(engine.orbit_classes(engine.negated_rows(images))):
+            j = index.setdefault(least, len(index))
+            if j == len(members):
+                members.append(0)
+            members[j] |= 1 << s
+            of_s.append(j)
+        of_s = np.array(of_s, dtype=np.min_scalar_type(len(index)))
+        found = memo[cube.roots] = _Products(tuple(index), of_s, tuple(members))
+    return found
+
+
+def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int], dict, _Products]:
+    """The character multiplicities of rep on the cube, N(S) on each orbit
+    of the products g_S, the transforms of sw_k built so far by k, and those
+    orbits, memoized on rep."""
     memo = rep.restrictions.get(cube)
     if memo is not None:
         return memo
     if rep.home is not cube.home:
         raise ValueError("representation and cube live on different root systems")
-    elements = [identity(rep.home).images]  # entry S is the product g_S
-    for i in cube.roots:
-        elements += [img[rep.home.reflection_perm(i)] for img in elements]
-    traces = np.array([rep.trace(GroupElement(img, rep.home)) for img in elements])
+    products = _product_classes(cube)
+    values = np.array([rep.class_value(least) for least in products.orbits])
+    traces = values[products.of_s]
     sums = _hadamard(len(cube)) @ traces
     bad = np.flatnonzero((sums % len(traces) != 0) | (sums < 0))
     if len(bad):
@@ -338,12 +390,18 @@ def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int]]
     mults = (sums // len(traces)).tolist()
     if sum(mults) != rep.dim:
         raise InternalError("character multiplicities do not add to the dimension")
-    minus, of_s = np.unique((rep.dim - traces) // 2, return_inverse=True)  # N(S) = minus[of_s[S]]
-    k = np.arange(rep.dim + 1)[:, None]
-    odd = np.packbits(((minus & k) == k)[:, of_s], axis=1, bitorder="little")  # C(N(S),k) odd
-    transforms = [int.from_bytes(row.tobytes(), "little") for row in odd]
-    memo = rep.restrictions[cube] = (mults, transforms)
+    minus = ((rep.dim - values) // 2).tolist()
+    memo = rep.restrictions[cube] = (mults, minus, {}, products)
     return memo
+
+
+def _transform(rep: Representation, cube: Cube, k: int) -> int:
+    """The transform of sw_k of rep restricted to the cube, {S : N(S) & k == k}
+    (C(N(S), k) odd), built on first request from the orbits of the g_S."""
+    _, minus, transforms, products = _restriction(rep, cube)
+    if k not in transforms:  # the member sets are disjoint: their sum is their union
+        transforms[k] = sum(m for m, n in zip(products.members, minus) if n & k == k)
+    return transforms[k]
 
 
 def character_multiplicities(rep: Representation, cube: Cube) -> list[int]:
@@ -364,7 +422,7 @@ def _transforms(expr: InvariantExpr, cube: Cube) -> dict[int, int]:
     for key, bits in expr.terms.items():
         transform = (1 << (1 << len(cube))) - 1
         for descriptor, i in key:
-            transform &= _restriction(expr.reps[descriptor], cube)[1][i]
+            transform &= _transform(expr.reps[descriptor], cube, i)
         degree = sum(i for _, i in key)
         for a in range(bits.bit_length()):
             if bits >> a & 1:
@@ -390,7 +448,8 @@ def _from_transforms(n: int, by_degree: Iterable[tuple[int, int]]) -> CubeClassE
 
 def total_class(rep: Representation, cube: Cube) -> CubeClassElement:
     """Total Stiefel-Whitney class of the restriction of rep to the cube."""
-    return _from_transforms(len(cube), enumerate(_restriction(rep, cube)[1]))
+    top = max(_restriction(rep, cube)[1])  # no S has N(S) & k == k for k > every N(S)
+    return _from_transforms(len(cube), ((k, _transform(rep, cube, k)) for k in range(top + 1)))
 
 
 def restrict_to_cube(expr: InvariantExpr, cube: Cube) -> CubeClassElement:
@@ -536,7 +595,7 @@ def sw_separation_report(classes: Sequence[InvolutionClass],
             for idx in range(start, len(symbols)):
                 rep, i = symbols[idx]
                 if pending and i <= remaining:
-                    below = [p & _restriction(rep, cls.splitting)[1][i]
+                    below = [p & _transform(rep, cls.splitting, i)
                              for p, cls in zip(products, group)]
                     if any(below):
                         walk(idx, remaining - i, below, factors + ((rep.descriptor, i),))

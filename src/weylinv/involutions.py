@@ -20,17 +20,20 @@ Every key match and every repeated key is compared row by row, and a last
 pass checks that keys are distinct across levels, so two masks sharing a key
 raise InternalError instead of merging two orbits.  A union-find over the
 seeds labels the orbits; a stored search records each orbit's size and least
-mask.  Callers get those classes and counts of an orbit's masks inside a
-given mask; only a permutation representation reads one orbit's rows.
+mask.  Callers get those classes, the class of each given mask (restriction
+to a cube asks it of the cube's products) and counts of an orbit's masks
+inside a given mask; only a permutation representation reads one orbit's
+rows.
 
 The engine of a root system stores every search, read-only, and searches
 only the given masks found in none.  The number of bits set, which
 conjugation keeps, rules out most stored searches; in the rest a mask is
-looked up by key level by level (a level is sorted by key), and every key
-match is compared row by row.  So low-rank cubes and small subsystems' orbits
-are read off the involution layers: a degree-k involution is the product of
-the reflections in k orthogonal roots (Carter, Compositio Math. 25 (1972),
-Lemma 5), so if its (-1)-eigenspace holds no other root, its mask is a cube.
+looked up by key level by level (a level is sorted by key) until it is
+found, and every key match is compared row by row.  So low-rank cubes and
+small subsystems' orbits are read off the involution layers: a degree-k
+involution is the product of the reflections in k orthogonal roots (Carter,
+Compositio Math. 25 (1972), Lemma 5), so if its (-1)-eigenspace holds no
+other root, its mask is a cube.
 
 Involutions and cubes are never walked one by one.  Each degree layer of
 involutions is the orbit of every class representative of the degree below
@@ -128,6 +131,14 @@ class MaskEngine:
         data = b"".join(m.to_bytes(8 * self.nwords, "little") for m in masks)
         return np.frombuffer(data, dtype=_WORD).reshape(-1, self.nwords)
 
+    def negated_rows(self, images: np.ndarray) -> np.ndarray:
+        """The row of the positive roots that each root permutation, a row
+        of images, negates (mask_of_perm of each)."""
+        P = self.nbits
+        bits = np.zeros((len(images), 64 * self.nwords), dtype=bool)
+        bits[:, :P] = images[:, :P] == np.arange(P, 2 * P)
+        return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
+
     def mask(self, row: np.ndarray) -> int:
         return int.from_bytes(np.asarray(row, dtype=_WORD).tobytes(), "little")
 
@@ -136,11 +147,15 @@ class MaskEngine:
         same = self.apply(rows, self._byte_tables(self._units[perm])) == rows
         return int(np.count_nonzero(reduce(np.logical_and, same.T)))  # in every word
 
+    def orbit_classes(self, rows: np.ndarray) -> list[tuple[int, int]]:
+        """(size, least mask) of the orbit of each given row, in order."""
+        where, at = self._locate(rows)
+        return [self._stored[s].orbits[self._stored[s].labels[i]]
+                for s, i in zip(where.tolist(), at.tolist())]
+
     def classes(self, rows: np.ndarray) -> list[tuple[int, int]]:
         """(size, least mask) of each orbit through the given rows, sorted."""
-        where, at = self._locate(rows)
-        return sorted({self._stored[s].orbits[self._stored[s].labels[i]]
-                       for s, i in zip(where.tolist(), at.tolist())})
+        return sorted(set(self.orbit_classes(rows)))
 
     def orbit_rows(self, mask: int) -> np.ndarray:
         """The rows of the orbit of a mask: a stored array when the orbit is
@@ -174,15 +189,21 @@ class MaskEngine:
         sizes = np.unpackbits(self._bytes(rows), axis=1).sum(axis=1)
         where, at = np.full(len(rows), -1), np.zeros(len(rows), dtype=np.intp)
         for s, search in enumerate(self._stored):
-            look = np.flatnonzero(search.holds[sizes])
-            if not len(look):
-                continue
-            look_rows, look_keys = rows[look], keys[look]
-            for a, b in zip(search.starts[:-1], search.starts[1:]):
-                pos = a + np.minimum(np.searchsorted(search.keys[a:b], look_keys), b - a - 1)
-                hit = search.keys[pos] == look_keys
-                _no_collision(np.array_equal(search.rows[pos[hit]], look_rows[hit]))
-                where[look[hit]], at[look[hit]] = s, pos[hit]
+            look = search.holds[sizes].nonzero()[0]
+            look_keys = keys[look]
+            for a, b in zip(search.starts, search.starts[1:]):
+                if not len(look):
+                    break
+                level = search.keys[a:b]
+                pos = np.minimum(level.searchsorted(look_keys), b - a - 1)
+                hit = level[pos] == look_keys
+                if hit.any():
+                    found, pos = look[hit], pos[hit] + a
+                    _no_collision((search.rows[pos] == rows[found]).all())
+                    where[found], at[found] = s, pos
+                    # a search's keys are distinct across its levels, so a row
+                    # found here has no key match at the levels still to come
+                    look, look_keys = look[~hit], look_keys[~hit]
         miss = np.flatnonzero(where < 0)
         if len(miss):
             new = self._search(rows[miss], keys[miss], sizes[miss])

@@ -8,6 +8,7 @@ sums/tensors combine traces.  Everything returns plain integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -16,30 +17,57 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .roots import InternalError, RootSystem, SubsystemEmbedding, TypeSpec, find_subsystem
-from .involutions import InvolutionClass, _mask_engine
+from .involutions import Cube, InvolutionClass, _greedy_roots, _mask_engine
 from .weyl import GroupElement, compose, coxeter_trace, element_matrix, length_parity
 
 
 class Representation:
     """An orthogonal representation given by dimension and an exact trace.
 
-    Equality is identity: two representations may share a descriptor.
+    The trace must be a character, a class function: restriction to cubes and
+    character gaps read it once per involution orbit, at the involution whose
+    mask is the orbit's least (the class representative's), and keep that
+    value.  A direct sum or a tensor product adds or multiplies the values of
+    its two factors.  Equality is identity: two representations may share a
+    descriptor.
     """
 
-    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "restrictions")
+    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "_factors",
+                 "class_values", "restrictions")
 
     def __init__(self, descriptor: str, dim: int, home: RootSystem,
-                 trace_fn: Callable[[GroupElement], int]):
+                 trace_fn: Optional[Callable[[GroupElement], int]],
+                 factors: Optional[tuple[Callable, "Representation", "Representation"]] = None):
         self.descriptor = descriptor
         self.dim = dim
         self.home = home
         self._trace_fn = trace_fn
-        self.restrictions: dict = {}  # Cube -> memo of invariants._restriction
+        self._factors = factors  # (operator, a, b) of a sum or tensor, else None
+        self.class_values: dict[int, int] = {}  # least mask of an involution orbit -> trace
+        # Cube -> (character multiplicities, N(S) on each orbit of the cube's
+        # products, the transform of sw_k by each k asked for, those orbits):
+        # invariants._restriction
+        self.restrictions: dict = {}
 
     def trace(self, g: GroupElement) -> int:
         if g.home is not self.home:
             raise ValueError("element belongs to a different root system")
+        if self._factors:
+            op, a, b = self._factors
+            return op(a.trace(g), b.trace(g))
         return self._trace_fn(g)
+
+    def class_value(self, mask: int) -> int:
+        """The trace on the involution orbit whose least mask is given."""
+        value = self.class_values.get(mask)
+        if value is None:
+            if self._factors:
+                op, a, b = self._factors
+                value = op(a.class_value(mask), b.class_value(mask))
+            else:
+                value = self.trace(Cube(self.home, _greedy_roots(self.home, mask)).element())
+            self.class_values[mask] = value
+        return value
 
     def __repr__(self):
         return f"Representation({self.descriptor}, dim {self.dim})"
@@ -94,13 +122,12 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
     def tr(g: GroupElement) -> int:  # bit i of a mask goes to bit images[i] % P
         return engine.fixed_points(orbit, g.images[:P] % P)
 
-    return Representation(f"conj[{sub.sub_type}]", len(orbit), rs, _per_element(rs, tr))
+    return Representation(f"conj[{sub.sub_type}]", len(orbit), rs, tr)
 
 
 def _per_element(rs: RootSystem, fn: Callable[[GroupElement], object]) -> Callable:
-    """fn memoized by element: the catalogue's sums and tensors, and the
-    gap search's pairs, ask for the same element again and again.  It holds
-    at most the 2^rank elements of a largest cube."""
+    """fn memoized by element, for two characters read off one pass: each
+    asks for the same element in turn.  It holds at most 2^rank elements."""
     memo: dict = {}
 
     def call(g: GroupElement):
@@ -231,14 +258,14 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.home is not b.home:
         raise ValueError("summands live on different root systems")
     return Representation(f"{a.descriptor}+{b.descriptor}", a.dim + b.dim,
-                          a.home, lambda g: a.trace(g) + b.trace(g))
+                          a.home, None, (operator.add, a, b))
 
 
 def tensor(a: Representation, b: Representation) -> Representation:
     if a.home is not b.home:
         raise ValueError("factors live on different root systems")
     return Representation(f"({a.descriptor})*({b.descriptor})", a.dim * b.dim,
-                          a.home, lambda g: a.trace(g) * b.trace(g))
+                          a.home, None, (operator.mul, a, b))
 
 
 # -- character gaps ----------------------------------------------------------
@@ -249,8 +276,8 @@ def character_gap(rep: Representation, cls_a: InvolutionClass,
     """chi(representative of a) - chi(representative of b); a class function."""
     if cls_a.home is not cls_b.home or cls_a.home is not rep.home:
         raise ValueError("classes and representation must share a root system")
-    return rep.trace(cls_a.representative.element) - \
-        rep.trace(cls_b.representative.element)
+    return rep.class_value(cls_a.representative.mask) - \
+        rep.class_value(cls_b.representative.mask)
 
 
 @dataclass(frozen=True)

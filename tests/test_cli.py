@@ -1,6 +1,9 @@
 """The command-line surface: formats, determinism, exit codes."""
 
+import hashlib
 import json
+
+import pytest
 
 from weylinv.cli import main
 
@@ -189,3 +192,24 @@ def test_verify_fast_exits_zero(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 8
     assert all(l.startswith("PASS") for l in lines)
+
+
+# sha256 of plain stdout, recorded when restriction and gaps read every trace
+# element by element; bench/reference.json pins only `gap E7` of these
+PINNED_STDOUT = {
+    ("pair", "D6"): "11f5867b3f1ad06a18a48e8a000d17e2a7371254feb88386a610df9e4614b896",
+    ("gap", "D6"): "2dec9c5c22366c4cdf7101741452e9d71045b47550ab4564ee7f72e7b6bdaacc",
+    ("pair", "E7"): "8c4e878840740e7c4ca62a66576dc24af9f734b99bb38573164a3a0a41e97d16",
+    ("gap", "E7"): "65ea4468f331a74e491d35db48e889eff3777510026777ebf4976905d16e11b7",
+    ("pair", "E8"): "75a3372dfd8afcedeb5c83e8fbf526c88cb598e0591dbb6e2d6e35dc4713eb95",
+    ("gap", "E8"): "c947e90232b43dd8a36335721e8455420a3c2ae579261643648f390aec5dab46",
+    ("pair", "A1xE7"): "8634f403c0c014974306afe366bd06691cb74156719f1b32f446cbff4083756d",
+}
+
+
+@pytest.mark.parametrize("command, type_name", sorted(PINNED_STDOUT))
+def test_pair_and_gap_stdout_is_pinned(capsys, command, type_name):
+    code, out, _ = run_cli(capsys, command, type_name)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED_STDOUT[command, type_name]

@@ -224,6 +224,48 @@ def test_total_class_is_the_product_over_characters(system, name):
             total_class(bogus, Cube(rs, (0,)))
 
 
+def _restriction_by_elements(rep, cube):
+    """The restriction as read element by element: rep.trace at each product
+    g_S, the Hadamard transform of those traces into multiplicities, and the
+    transform {S : C(N(S), k) odd} of sw_k for every k = 0..dim."""
+    from weylinv import GroupElement, identity
+    rs, n = cube.home, len(cube)
+    elements = [identity(rs).images]  # entry S is the product g_S
+    for i in cube.roots:
+        elements += [img[rs.reflection_perm(i)] for img in elements]
+    traces = [rep.trace(GroupElement(img, rs)) for img in elements]
+    mults = []
+    for eps in range(1 << n):
+        total = sum(-t if (eps & s).bit_count() & 1 else t for s, t in enumerate(traces))
+        assert total % (1 << n) == 0
+        mults.append(total >> n)
+    minus = [(rep.dim - t) // 2 for t in traces]
+    transforms = [sum(1 << s for s, m in enumerate(minus) if m & k == k)
+                  for k in range(rep.dim + 1)]
+    return mults, transforms
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4", "D6", "E6", "E7"])
+def test_restriction_matches_the_per_element_oracle(system, name):
+    # the restriction reads each trace once per orbit of the products g_S,
+    # looked up in the orbit engine; the oracle evaluates it at every g_S
+    from weylinv import GapBudget, base_catalogue, classify_involutions, enumerate_cubes, tensor
+    from weylinv.invariants import _from_transforms, _transform
+    rs = system(name)
+    reps, _ = base_catalogue(rs, GapBudget())
+    reps += [direct_sum(reps[1], reps[-1]), tensor(reps[1], reps[3])]
+    if name in ("B3", "D4", "F4"):
+        cubes = list(enumerate_cubes(rs))
+    else:
+        cubes = [cls.splitting for cls in classify_involutions(rs)]
+    for cube in cubes:
+        for rep in reps:
+            mults, transforms = _restriction_by_elements(rep, cube)
+            assert character_multiplicities(rep, cube) == mults
+            assert [_transform(rep, cube, k) for k in range(rep.dim + 1)] == transforms
+            assert total_class(rep, cube) == _from_transforms(len(cube), enumerate(transforms))
+
+
 # -- pairing ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["A2", "B2", "B3", "G2", "C3", "A1xA1"])

@@ -108,16 +108,23 @@ def test_sum_and_tensor_characters(system):
 
 
 def test_character_constant_on_classes(system):
+    # restriction and gaps read each trace once per involution class, at the
+    # class representative; every conjugate must give that value
+    from weylinv import base_catalogue
     rng = random.Random(31)
-    rs = system("B4")
-    reps = [coxeter_rep(rs), perm_roots_rep(rs), exterior_cox_rep(rs, 2)]
-    for cls in classify_involutions(rs):
-        g = cls.representative.element
-        base = [rep.trace(g) for rep in reps]
-        for _ in range(min(20, 6)):
-            w = random_word(rs, rng)
-            conj = compose(compose(w, g), invert(w))
-            assert [rep.trace(conj) for rep in reps] == base
+    for name in ("D4", "D6", "F4"):
+        rs = system(name)
+        reps, _ = base_catalogue(rs, GapBudget())
+        descriptors = {rep.descriptor for rep in reps}
+        assert {"permroots", "ext2(cox)", "conj[A1]", "conj[D3]"} <= descriptors
+        assert ("halfsets+" in descriptors) == name.startswith("D")
+        for cls in classify_involutions(rs):
+            g = cls.representative.element
+            for _ in range(6):
+                w = random_word(rs, rng)
+                conj = compose(compose(w, g), invert(w))
+                for rep in reps:
+                    assert rep.trace(conj) == rep.class_value(cls.representative.mask)
 
 
 def test_conj_subsystem_rep_dimensions(system):
