@@ -11,19 +11,24 @@ numpy rows of little-endian 64-bit words, least significant word first, so
 byte j of a row holds mask bits 8j .. 8j + 7.  A permutation of the roots
 acts through per-byte lookup tables (the image of a row is the sum of one
 table entry per byte), and so does a 64-bit key per mask, the wrapping sum
-of fixed-seed keys of its bits; one fused table yields the image rows and
-their keys under every simple reflection at once.  An orbit is one labelled
-breadth-first search.  Each new mask records the reflections that reached it
-from the level before, so its images under them are known to lie there and
-are skipped; the others are looked up by key in the current level only.
-Every key match and every repeated key is compared row by row, and a last
-pass checks that keys are distinct across levels, so two masks sharing a key
-raise InternalError instead of merging two orbits.  A union-find over the
-seeds labels the orbits; a stored search records each orbit's size and least
-mask.  Callers get those classes, the class of each given mask (restriction
-to a cube asks it of the cube's products) and counts of an orbit's masks
-inside a given mask; only a permutation representation reads one orbit's
-rows.
+of fixed-seed keys of its bits; one fused table yields the image row and its
+key under any simple reflection, so only the images kept are gathered.  An
+orbit is one labelled breadth-first search.  Each new mask records some of
+the reflections that lead back to the level before: the one that made it
+and those its source recorded that commute with that one.  Its images under
+them are skipped, and so is its image under s_g when it records an s_h with
+h < g that commutes with s_g: that image closes a commuting square whose
+other three edges the search took earlier (the commutation rule of Cartier
+and Foata, LNM 85, 1969), so it joins no new seeds, and no mask is missed.
+A reflection back may go unrecorded, so the kept images are looked up by
+key in the current level and the one before.  Every key match and every
+repeated key is compared row by row, and a last pass checks that keys are
+distinct across levels, so two masks sharing a key raise InternalError
+instead of merging two orbits.  A union-find over the seeds labels the
+orbits; a stored search records each orbit's size and least mask.  Callers
+get those classes, the class of each given mask (restriction to a cube asks
+it of the cube's products) and counts of an orbit's masks inside a given
+mask; only a permutation representation reads one orbit's rows.
 
 The engine of a root system stores every search, read-only, and searches
 only the given masks found in none.  The number of bits set, which
@@ -70,6 +75,20 @@ _KEY_SEED = 0x9E3779B97F4A7C15  # increment of the sequence the bit keys hash
 _WORD = np.dtype("<u8")
 
 
+def _byte_tables(per_bit: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """Entry [j, v]: per_bit's rows for the bits v sets in byte j, combined by
+    op, built by doubling: the entries with top bit b are those below op bit b.
+    A byte past the last bit gets no table."""
+    nbytes = (len(per_bit) + 7) // 8
+    vals = np.zeros((8 * nbytes, per_bit.shape[1]), dtype=per_bit.dtype)
+    vals[:len(per_bit)] = per_bit
+    vals = vals.reshape(nbytes, 8, -1)
+    tables = np.zeros((nbytes, 256, per_bit.shape[1]), dtype=per_bit.dtype)
+    for b in range(8):
+        tables[:, 1 << b:2 << b] = op(tables[:, :1 << b], vals[:, b, None])
+    return tables
+
+
 def _bit_keys(nbits: int) -> np.ndarray:
     """Fixed pseudo-random 64-bit key of each mask bit (splitmix64 mixing)."""
     z = np.arange(1, nbits + 1, dtype=np.uint64) * np.uint64(_KEY_SEED)
@@ -82,9 +101,9 @@ class MaskEngine:
     """Permutations of the positive roots acting on packed bitmask rows.
 
     A row is `nwords` little-endian 64-bit words, least significant first, so
-    byte j of a row's byte view holds mask bits 8j .. 8j + 7.  The fused byte
-    table holds one block of nwords + 1 columns per simple reflection, in
-    order: the image row, then its key.
+    byte j of a row's byte view holds mask bits 8j .. 8j + 7.  Row v * ngens
+    + g of the fused table of byte j is the image under simple reflection g
+    of the bits v sets in byte j, then its key.
     """
 
     def __init__(self, rs: RootSystem):
@@ -93,32 +112,40 @@ class MaskEngine:
         self.nwords = (P + 63) // 64
         self._units = self.rows([1 << i for i in range(P)])  # row i: mask bit i alone
         per_bit = np.hstack([self._units, _bit_keys(P)[:, None]])
-        self._key_tables = self._byte_tables(per_bit[:, -1:])
+        self._key_tables = _byte_tables(per_bit[:, -1:], np.add)
         perms = [rs.positive_perm(p) for p in rs.simple_reflection_perms()]
-        self.fused = self._byte_tables(np.hstack([per_bit[perm] for perm in perms]))
+        self.ngens = len(perms)
+        fused = _byte_tables(np.hstack([per_bit[perm] for perm in perms]), np.add)
+        self.fused = fused.reshape(len(fused), -1, self.nwords + 1)
+        # A set of simple reflections is a row of little-endian packed bits.  s_h
+        # and s_g (h != g) commute exactly when their simple roots are orthogonal.
+        orthogonal = np.array([[h != g and rs.inner(h, g) == 0 for g in rs.simple_indices]
+                               for h in rs.simple_indices])
+        single = np.eye(self.ngens, dtype=bool)
+        self._commuting, self._single, skips = (
+            np.packbits(m, axis=1, bitorder="little")
+            for m in (orthogonal, single, single | np.triu(orthogonal)))
+        # entry [j, v]: the images a row skips when byte j of its parents is v
+        self._skips = _byte_tables(skips, np.bitwise_or)
         self._stored: list[_Search] = []  # every search, in order
 
-    def _byte_tables(self, per_bit: np.ndarray) -> np.ndarray:
-        """Entry [j, v]: wrapping sum of per_bit over the bits v sets in byte j,
-        built by doubling: the entries with top bit b are those below plus bit b.
-        Bytes past the last mask bit are always zero and get no table."""
-        nbytes = (self.nbits + 7) // 8
-        vals = np.zeros((8 * nbytes, per_bit.shape[1]), dtype=_WORD)
-        vals[:len(per_bit)] = per_bit
-        vals = vals.reshape(nbytes, 8, -1)
-        tables = np.zeros((nbytes, 256, per_bit.shape[1]), dtype=_WORD)
-        for b in range(8):
-            tables[:, 1 << b:2 << b] = tables[:, :1 << b] + vals[:, b, None]
-        return tables
-
     def apply(self, rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        """Sum of one table entry per byte of each row: the image rows and
-        keys under every simple reflection, side by side, for the fused
-        table, the keys for the key tables."""
+        """Sum of one table entry per byte of each row: the keys for the key
+        tables, the image rows for the tables of a permutation."""
         view = self._bytes(rows)
         acc = np.zeros((len(rows), tables.shape[2]), dtype=_WORD)
         for j, table in enumerate(tables):
             acc += table.take(view[:, j], axis=0)
+        return acc
+
+    def images(self, rows: np.ndarray, at: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        """Row i is the image of rows[at[i]] under simple reflection gens[i],
+        then its key: the sum over bytes of a fused table row."""
+        view = self._bytes(rows[at])
+        acc = np.zeros((len(at), self.nwords + 1), dtype=_WORD)
+        for j, table in enumerate(self.fused):
+            index = np.multiply(view[:, j], self.ngens, dtype=np.intp)
+            acc += table.take(np.add(index, gens, out=index), axis=0)
         return acc
 
     def _bytes(self, rows: np.ndarray) -> np.ndarray:
@@ -144,7 +171,7 @@ class MaskEngine:
 
     def fixed_points(self, rows: np.ndarray, perm: np.ndarray) -> int:
         """How many rows the permutation sending mask bit i to bit perm[i] fixes."""
-        same = self.apply(rows, self._byte_tables(self._units[perm])) == rows
+        same = self.apply(rows, _byte_tables(self._units[perm], np.add)) == rows
         return int(np.count_nonzero(reduce(np.logical_and, same.T)))  # in every word
 
     def orbit_classes(self, rows: np.ndarray) -> list[tuple[int, int]]:
@@ -216,48 +243,57 @@ class MaskEngine:
         """The orbits of the given rows, none of them stored, whose keys and
         numbers of bits set are given.
 
-        Level d holds the masks d reflections from the nearest seed.  Each row
-        records its parents, the reflections that reached it from level d-1.
-        The reflections are involutions, so s x lies in level d-1 exactly when
-        s is a parent of x: those images are dropped, the rest are looked up
-        in level d, and what is left, made distinct, is level d+1 (a repeated
-        image ORs its parents).  A dropped image joins no new seeds: the
-        merge that made x joined them.  A label is the least seed joined to
-        the row's seed where two met."""
-        width = self.nwords + 1
-        ngens = self.fused.shape[2] // width
+        Level d holds the masks d reflections from the nearest seed; a parent
+        of a row x in level d is a reflection s with s x in level d-1.  Each
+        row records some of its parents: the reflection that made it, and
+        those recorded for the row it was made from that commute with that
+        reflection (if u = s_p v and s_h s_p = s_p s_h, then s_p s_h u = s_h v
+        lies one level below s_h u), ORed over repeated images.  The image of
+        x under s_g is skipped when x records s_g, or records s_h with h < g
+        commuting with s_g: then s_g x = s_h s_g (s_h x) closes a commuting
+        square whose other three edges come earlier in the order (level,
+        reflection), so by induction the seeds it would join are joined
+        already (the commutation rule of Cartier and Foata, Problemes
+        combinatoires de commutation et rearrangements, LNM 85, 1969).  The
+        least parent of a row is never skipped, so every row is found at its
+        distance.  The kept images are looked up in level d and, as a parent
+        may go unrecorded, in level d-1; what is left, made distinct, is
+        level d+1.  A label is the least seed joined to the row's seed where
+        two met."""
         holds = np.zeros(self.nbits + 1, dtype=bool)
         holds[sizes] = True
         images = np.hstack([rows, keys[:, None]])
         root = np.arange(len(rows))
         seeds = root.astype(np.min_scalar_type(len(rows)))  # labels take the least dtype
-        gens = np.full(len(rows), ngens)  # a seed has no parent reflection
+        parents = np.zeros((len(rows), self._single.shape[1]), dtype=np.uint8)  # none for a seed
         levels: list = []  # (rows, keys, seeds) of each level
         while len(images):
             order = np.argsort(images[:, -1])
-            keys, seeds, gens = images[order, -1], seeds[order], gens[order]
-            if levels:
-                level_rows, level_keys, level_seeds = levels[-1]
+            keys = images[order, -1]
+            for level_rows, level_keys, level_seeds in levels[:-3:-1]:  # levels d, d-1
                 pos = np.minimum(np.searchsorted(level_keys, keys), len(level_keys) - 1)
                 hit = level_keys[pos] == keys
                 _no_collision(np.array_equal(level_rows[pos[hit]], images[order[hit], :-1]))
-                root = _join(root, seeds[hit], level_seeds[pos[hit]])
-                order, keys, seeds, gens = order[~hit], keys[~hit], seeds[~hit], gens[~hit]
-            images = images[order, :-1]
+                root = _join(root, seeds[order[hit]], level_seeds[pos[hit]])
+                order, keys = order[~hit], keys[~hit]
+            if not len(keys):
+                break
+            images, seeds, parents = images[order, :-1], seeds[order], parents[order]
             again = keys[1:] == keys[:-1]
             _no_collision(np.array_equal(images[1:][again], images[:-1][again]))
             root = _join(root, seeds[1:][again], seeds[:-1][again])
-            if len(keys) and len(levels) > self.nbits:  # no reduced word is longer
+            if len(levels) > self.nbits:  # no reduced word is longer
                 raise InternalError("orbit search went past the longest element")
-            first = np.r_[True, ~again][:len(keys)]
+            first = np.flatnonzero(np.r_[True, ~again])
             level = images[first], keys[first], seeds[first]
             levels.append(level)
-            parents = np.zeros((len(level[0]), ngens + 1), dtype=bool)
-            parents[np.cumsum(first) - 1, gens] = True
-            fresh = np.flatnonzero(~parents[:, :ngens])  # image g of row i: i * ngens + g
-            images = self.apply(level[0], self.fused).reshape(-1, width)[fresh]
-            seeds, gens = level[2][fresh // ngens], fresh % ngens
-        starts = np.cumsum([0] + [len(k) for _, k, _ in levels if len(k)]).tolist()
+            parents = np.bitwise_or.reduceat(parents, first, axis=0)
+            skips = reduce(np.bitwise_or, (t[p] for t, p in zip(self._skips, parents.T)))
+            at, gens = np.unpackbits(~skips, axis=1, count=self.ngens, bitorder="little").nonzero()
+            images = self.images(level[0], at, gens)
+            seeds = level[2][at]
+            parents = parents[at] & self._commuting[gens] | self._single[gens]
+        starts = np.cumsum([0] + [len(k) for _, k, _ in levels]).tolist()
         parts = [list(part) for part in zip(*levels)]
         levels.clear()  # so that each level goes once it is copied
         rows, keys, seeds = (np.concatenate(parts.pop(0)) for _ in range(3))

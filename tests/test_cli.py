@@ -213,3 +213,22 @@ def test_pair_and_gap_stdout_is_pinned(capsys, command, type_name):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == PINNED_STDOUT[command, type_name]
+
+
+# sha256 of stdout of the headline tables, recorded when the orbit search
+# sorted every image but a row's parents; bench/reference.json pins E7 stdout
+# but E8 only as class sizes
+PINNED_TABLES = {
+    ("involutions", "E8"): "f6d9ffbae206d3acfbe55df1d76071ddc6d94455a960395ce35fbad44b7abcc9",
+    ("cubes", "E8"): "a95310b24e9464c8c480bda2555ff5abb2226afc79796e8475e8d77ae9d2eb8a",
+    ("basis", "E8"): "2cf4461308e6628ebf334694a8b56f8bb3451fedd5804e623ed6de5d39efb700",
+    ("reduce", "E8"): "74ac7fa15a632a0d60ffe81b259c79f4f39d3125157472011ace951704fb9412",
+    ("--json", "cubes", "A1xE7"): "bb5f40e96cd9924a3dbd62a7c1183683a81da8a42eea2ee7d39326586295a648",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_TABLES), ids=" ".join)
+def test_table_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLES[argv]

@@ -402,9 +402,10 @@ def check_packing(name, words):
     tested = masks + [m | image(m) for m in masks]  # the second half are fixed
     assert engine.fixed_points(engine.rows(tested), np.array(perm)) == \
         sum(image(m) == m for m in tested) >= len(masks)
-    fused = engine.apply(rows, engine.fused).reshape(len(rows), -1, words + 1)
     actions = python_mask_actions(rs)
-    assert len(actions) == fused.shape[1]
+    assert len(actions) == engine.ngens
+    at, gens = np.divmod(np.arange(len(rows) * engine.ngens), engine.ngens)  # every pair
+    fused = engine.images(rows, at, gens).reshape(len(rows), engine.ngens, words + 1)
     for g, act in enumerate(actions):
         images = fused[:, g]
         assert [engine.mask(row) for row in images[:, :-1]] == [act(m) for m in masks]
@@ -466,6 +467,52 @@ def test_engine_orbit_labels_match_orbit_partition(name):
     for i, mask in seeds:
         assert sorted(engine.mask(row) for row in engine.orbit_rows(mask)) == sorted(oracle[i])
     assert len(engine._stored) == 1
+
+
+def oracle_levels(actions, seeds):
+    """Distance of each mask from the nearest seed, by a plain breadth-first search."""
+    distance = dict.fromkeys(seeds, 0)
+    frontier, d = set(distance), 0
+    while frontier:
+        d += 1
+        frontier = {image for mask in frontier for act in actions
+                    if (image := act(mask)) not in distance}
+        distance.update(dict.fromkeys(frontier, d))
+    return distance
+
+
+@pytest.mark.parametrize("name", ["D4", "F4", "E6", "A1xA2", "A2xG2", "B2xG2", "A1xD4"])
+def test_engine_levels_are_distances_from_the_seeds(name):
+    from weylinv import orbit_partition
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system(name)
+    actions = python_mask_actions(rs)
+    orbits = orbit_partition([c.mask for c in enumerate_cubes(rs)], actions)
+    rng = random.Random(3)
+    seeds = []
+    for orbit in rng.sample(orbits, (len(orbits) + 1) // 2):  # some orbits go unseeded
+        for steps in (0, 2, 4):  # seeds two and four reflections from the first
+            mask = orbit[0]
+            for _ in range(steps):
+                mask = rng.choice(actions)(mask)
+            seeds.append(mask)
+    seeds += rng.sample(seeds, len(seeds) // 3)  # and masks seeded twice
+    rng.shuffle(seeds)
+    engine = MaskEngine(rs)
+    engine.classes(engine.rows(seeds))
+    (search,) = engine._stored
+    distance = oracle_levels(actions, seeds)
+    levels = [sorted(engine.mask(row) for row in search.rows[a:b])
+              for a, b in zip(search.starts, search.starts[1:])]
+    assert levels == [sorted(m for m, d in distance.items() if d == level)
+                      for level in range(max(distance.values()) + 1)]
+    # a label is the first place of a seed of the row's orbit in the given seeds
+    orbit_of = {m: i for i, orbit in enumerate(orbits) for m in orbit}
+    first_seed = {}
+    for place, mask in enumerate(seeds):
+        first_seed.setdefault(orbit_of[mask], place)
+    assert search.labels.tolist() == [first_seed[orbit_of[engine.mask(row)]]
+                                      for row in search.rows]
 
 
 def test_reduction_rejects_a_cube_class_missing_from_the_table():
@@ -541,6 +588,38 @@ def test_engine_rejects_key_collision_with_the_current_level(monkeypatch):
         engine.classes(engine.rows([0b001]))
 
 
+def test_engine_rejects_key_collision_with_the_level_below(monkeypatch):
+    from weylinv import InternalError
+    from weylinv import involutions
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("A4")
+    distance = oracle_levels(python_mask_actions(rs), [0b1])
+    far = min(m for m, d in distance.items() if d == 2).bit_length() - 1
+    keys = involutions._bit_keys(rs.n_positive)
+    keys[far] = keys[0]  # a level-2 root shares the key of the seed, two levels down
+    monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
+    engine = MaskEngine(rs)
+    # as if no reduced word were longer than two reflections: a search that
+    # did not look level 2 up in level 0 would stop past the longest element
+    # (some roots are three reflections from root 0) before its last check
+    engine.nbits = 2
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        engine.classes(engine.rows([0b1]))
+
+
+@pytest.mark.parametrize("name", RANK_LE_4 + ["A5", "A7", "B6", "C5", "D6", "D8", "E6", "E7",
+                                              "E8", "A1xA2", "A2xG2", "B2xG2", "A1xD4",
+                                              "A1xD6", "A1xE7"])
+def test_engine_commuting_table_is_commuting_reflections(name):
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system(name)
+    engine = MaskEngine(rs)
+    perms = rs.simple_reflection_perms()
+    table = np.unpackbits(engine._commuting, axis=1, count=engine.ngens, bitorder="little")
+    assert table.tolist() == [[int(h != g and np.array_equal(a[b], b[a]))
+                               for g, b in enumerate(perms)] for h, a in enumerate(perms)]
+
+
 def test_engine_rejects_key_collision_with_a_stored_orbit(monkeypatch):
     from weylinv import InternalError
     from weylinv import involutions
@@ -582,6 +661,31 @@ def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
     engine = _mask_engine(rs)
     assert engine.orbit_rows(find_subsystem(rs, "A1").positive_closure_mask()) \
         is engine._stored[1].rows
+
+
+# (row, reflection) images the orbit search sorted when it computed every
+# image but a row's parents, in classify_involutions then classify_cubes
+UNPRUNED_IMAGES = {"E7": (44_393, 18_900), "E8": (933_604, 859_190)}
+
+
+@pytest.mark.parametrize("name", sorted(UNPRUNED_IMAGES))
+def test_commuting_reflections_prune_half_the_images(monkeypatch, name):
+    from weylinv.involutions import MaskEngine
+    gathered = []
+    images = MaskEngine.images
+
+    def counted(self, rows, at, gens):
+        gathered.append(len(at))
+        return images(self, rows, at, gens)
+    monkeypatch.setattr(MaskEngine, "images", counted)
+    rs = build_root_system(name)
+    counts = []
+    for classify in classify_involutions, classify_cubes:
+        gathered.clear()
+        classify(rs)
+        counts.append(sum(gathered))
+    # pruned by commuting reflections: E7 20,695 and 8,058; E8 353,376 and 306,059
+    assert all(2 * n <= before for n, before in zip(counts, UNPRUNED_IMAGES[name]))
 
 
 def test_no_orbit_rows_outside_the_engine():
