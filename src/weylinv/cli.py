@@ -39,13 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="maximum exterior power in the gap-search catalogue")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, needs_type in [
-            ("roots", True), ("order", True), ("involutions", True),
-            ("cubes", True), ("basis", True), ("pair", True),
-            ("reduce", True), ("gap", True)]:
+    for name in ("roots", "order", "involutions", "cubes", "basis", "pair", "reduce", "gap"):
         p = sub.add_parser(name)
-        if needs_type:
-            p.add_argument("type", help="type spec, e.g. E8 or A1xD6")
+        p.add_argument("type", help="type spec, e.g. E8 or A1xD6")
         if name == "pair":
             p.add_argument("--expr", action="append", default=[],
                            help="extra invariant expression, e.g. 'sw(cox,1)*sw(cox,2)+t*sw(cox,1)'")

@@ -20,10 +20,11 @@ them are skipped, and so is its image under s_g when it records an s_h with
 h < g that commutes with s_g: that image closes a commuting square whose
 other three edges the search took earlier (the commutation rule of Cartier
 and Foata, LNM 85, 1969), so it joins no new seeds, and no mask is missed.
-A reflection back may go unrecorded, so the kept images are looked up by
-key in the current level and the one before.  Every key match and every
-repeated key is compared row by row, and a last pass checks that keys are
-distinct across levels, so two masks sharing a key raise InternalError
+A row need not record every reflection back, and its image under one it did
+not record may be kept; that image lies in the level before, so kept images
+are looked up by key in the current level and that one.  Every key match and
+every repeated key is compared row by row, and a last pass checks that keys
+are distinct across levels, so two masks sharing a key raise InternalError
 instead of merging two orbits.  A union-find over the seeds labels the
 orbits; a stored search records each orbit's size and least mask.  Callers
 get those classes, the class of each given mask (restriction to a cube asks
@@ -118,9 +119,10 @@ class MaskEngine:
         fused = _byte_tables(np.hstack([per_bit[perm] for perm in perms]), np.add)
         self.fused = fused.reshape(len(fused), -1, self.nwords + 1)
         # A set of simple reflections is a row of little-endian packed bits.  s_h
-        # and s_g (h != g) commute exactly when their simple roots are orthogonal.
-        orthogonal = np.array([[h != g and rs.inner(h, g) == 0 for g in rs.simple_indices]
-                               for h in rs.simple_indices])
+        # and s_g, h != g, commute exactly when their simple roots are orthogonal,
+        # and no root is orthogonal to itself.
+        simples = rs._icoord_mat[list(rs.simple_indices)]
+        orthogonal = simples @ simples.T == 0
         single = np.eye(self.ngens, dtype=bool)
         self._commuting, self._single, skips = (
             np.packbits(m, axis=1, bitorder="little")
@@ -256,10 +258,14 @@ class MaskEngine:
         already (the commutation rule of Cartier and Foata, Problemes
         combinatoires de commutation et rearrangements, LNM 85, 1969).  The
         least parent of a row is never skipped, so every row is found at its
-        distance.  The kept images are looked up in level d and, as a parent
-        may go unrecorded, in level d-1; what is left, made distinct, is
-        level d+1.  A label is the least seed joined to the row's seed where
-        two met."""
+        distance.  A row need not record every parent, and under some orders
+        of the simple reflections its image under one it did not record is
+        kept (in A4, orders (1, 3, 0, 2) and (2, 0, 3, 1): 60 of the 1,023
+        single-seed searches each).  That image lies in level d-1, so the kept
+        images are looked up in level d and in level d-1; without the second
+        lookup the search would run past the longest element.  What is left,
+        made distinct, is level d+1.  A label is the least seed joined to the
+        row's seed where two met."""
         holds = np.zeros(self.nbits + 1, dtype=bool)
         holds[sizes] = True
         images = np.hstack([rows, keys[:, None]])

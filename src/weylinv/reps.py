@@ -1,16 +1,17 @@
 """Exact orthogonal representations of Weyl groups, via trace oracles.
 
 No matrices are materialized beyond the reflection representation itself:
-permutation representations count fixed points, exterior powers are read off
-eigenvalue multiplicities on involutions (Newton's identities elsewhere), and
-sums/tensors combine traces.  Everything returns plain integers.
+permutation representations count fixed points, exterior powers come from
+the power traces of the reflection matrix by Newton's identities, the
+half-subset pair from one pass over the subset matrix, and sums/tensors
+combine traces.  Each character has one exact integer path, whatever the
+element; everything returns plain integers.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .roots import InternalError, RootSystem, SubsystemEmbedding, TypeSpec, find_subsystem
 from .involutions import Cube, InvolutionClass, _greedy_roots, _mask_engine
-from .weyl import GroupElement, compose, coxeter_trace, element_matrix, length_parity
+from .weyl import GroupElement, coxeter_trace, element_matrix, length_parity
 
 
 class Representation:
@@ -125,63 +126,37 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
     return Representation(f"conj[{sub.sub_type}]", len(orbit), rs, tr)
 
 
-def _per_element(rs: RootSystem, fn: Callable[[GroupElement], object]) -> Callable:
-    """fn memoized by element, for two characters read off one pass: each
-    asks for the same element in turn.  It holds at most 2^rank elements."""
-    memo: dict = {}
-
-    def call(g: GroupElement):
-        key = g.images.tobytes()
-        if key not in memo:
-            if len(memo) >= 1 << rs.rank:
-                memo.clear()
-            memo[key] = fn(g)
-        return memo[key]
-
-    return call
-
-
-def _is_involution(g: GroupElement) -> bool:
-    return compose(g, g).is_identity()
-
-
 def exterior_cox_rep(rs: RootSystem, k: int) -> Representation:
     """k-th exterior power of the reflection representation."""
     r = rs.rank
     if not 0 <= k <= r:
         raise ValueError(f"exterior power {k} out of range for rank {r}")
-
-    def tr(g: GroupElement) -> int:
-        if _is_involution(g):
-            minus = (r - coxeter_trace(g)) // 2
-            plus = r - minus
-            # coefficient of x^k in (1+x)^plus (1-x)^minus
-            return sum(comb(plus, k - j) * comb(minus, j) * (-1) ** j
-                       for j in range(0, k + 1))
-        return _newton_exterior_trace(element_matrix(g), k)
-
-    return Representation(f"ext{k}(cox)", comb(r, k), rs, tr)
+    return Representation(f"ext{k}(cox)", comb(r, k), rs,
+                          lambda g: _newton_exterior_trace(element_matrix(g), k))
 
 
 def _newton_exterior_trace(mat: np.ndarray, k: int) -> int:
-    """Elementary symmetric function of the eigenvalues via Newton's identities."""
+    """Trace on the k-th exterior power of an integer matrix: the elementary
+    symmetric function e_k of its eigenvalues, by Newton's identities
+    m e_m = sum_i (-1)^(i-1) e_(m-i) p_i over the power traces p_i.  Each e_m
+    is a coefficient of the integer characteristic polynomial, so the
+    division by m is exact, in integers."""
     powers = []
     acc = mat
     for _ in range(k):
         powers.append(int(np.trace(acc)))
         acc = acc @ mat
-    e = [Fraction(1)]
+    e = [1]
     for m in range(1, k + 1):
-        s = sum((-1) ** (i - 1) * e[m - i] * powers[i - 1]
-                for i in range(1, m + 1))
-        e.append(Fraction(s, m))
-    if e[k].denominator != 1:
-        raise InternalError("non-integral exterior-power trace")
-    return int(e[k])
+        s = sum((-1) ** (i - 1) * e[m - i] * powers[i - 1] for i in range(1, m + 1))
+        if s % m:
+            raise InternalError("non-integral exterior-power trace")
+        e.append(s // m)
+    return e[k]
 
 
 def _signed_axis_action(rs: RootSystem, g: GroupElement, plus: np.ndarray,
-                        minus: np.ndarray) -> tuple[list[int], list[int]]:
+                        minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Express g as a signed permutation of the coordinate axes, given the
     indices of the roots e_i + e_j and e_i - e_j for each axis i (j != i).
 
@@ -195,7 +170,7 @@ def _signed_axis_action(rs: RootSystem, g: GroupElement, plus: np.ndarray,
         raise InternalError("element does not act monomially on the axes")
     perm = nonzero.argmax(axis=1)
     sign = image[np.arange(len(perm)), perm] // 4
-    return perm.tolist(), sign.tolist()
+    return perm, sign
 
 
 def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representation]:
@@ -206,7 +181,11 @@ def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representati
     complement map A -> A^c intertwines that action because every element
     flips an even number of signs.  Its +/-1 eigenspaces are orthogonal
     representations exchanged by the outer automorphism, which is what makes
-    them able to tell mirror involution classes apart.
+    them able to tell mirror involution classes apart.  Both characters come
+    from one numpy pass over the boolean subset matrix (row A, column i: i in
+    A): the trace of the action (plain) sums the signs of the subsets g fixes,
+    that of the action composed with the complement map (twisted) the signs
+    of those g sends to their complements.
     """
     from itertools import combinations
 
@@ -214,44 +193,34 @@ def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representati
             or rs.type_spec.factors[0][1] % 2:
         raise ValueError("half-subset split representations need a single D_{2m} factor")
     n = rs.ambient_dim
-    m = n // 2
-    subsets = [frozenset(c) for c in combinations(range(n), m)]
-    dim_total = len(subsets)
+    members = np.array(list(combinations(range(n), n // 2)))
+    subsets = np.zeros((len(members), n), dtype=bool)
+    subsets[np.arange(len(members))[:, None], members] = True
     unit = np.eye(n, dtype=np.int64)
     other = unit[[1] + [0] * (n - 1)]  # e_j for each axis i: j = 1 if i = 0, else 0
     plus = np.array([rs.index_of(row) for row in unit + other])
     minus = np.array([rs.index_of(row) for row in unit - other])
 
-    def subset_traces(g: GroupElement) -> tuple[int, int]:
+    def plain_and_twisted(g: GroupElement) -> tuple[int, int]:
         perm, sign = _signed_axis_action(rs, g, plus, minus)
-        plain = 0
-        twisted = 0
-        for a in subsets:
-            image = frozenset(perm[i] for i in a)
-            s = 1
-            for i in a:
-                s *= sign[i]
-            if image == a:
-                plain += s
-            if image == frozenset(range(n)) - a:
-                # contribution of A^c -> A composed with the complement map
-                twisted += s
-        return plain, twisted
-
-    char_pair = _per_element(rs, subset_traces)  # both halves read one pass per element
+        image = np.empty_like(subsets)
+        image[:, perm] = subsets  # row A: the axes of g(A)
+        signs = 1 - 2 * (np.count_nonzero(subsets[:, sign < 0], axis=1) & 1)
+        return (int(signs[np.all(image == subsets, axis=1)].sum()),
+                int(signs[np.all(image != subsets, axis=1)].sum()))
 
     def tr_plus(g: GroupElement) -> int:
-        plain, twisted = char_pair(g)
+        plain, twisted = plain_and_twisted(g)
         if (plain + twisted) % 2:
             raise InternalError("half-subset character is not integral")
         return (plain + twisted) // 2
 
     def tr_minus(g: GroupElement) -> int:
-        plain, twisted = char_pair(g)
+        plain, twisted = plain_and_twisted(g)
         return (plain - twisted) // 2
 
-    return (Representation("halfsets+", dim_total // 2, rs, tr_plus),
-            Representation("halfsets-", dim_total // 2, rs, tr_minus))
+    return (Representation("halfsets+", len(subsets) // 2, rs, tr_plus),
+            Representation("halfsets-", len(subsets) // 2, rs, tr_minus))
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:

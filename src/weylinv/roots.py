@@ -437,31 +437,28 @@ def find_subsystem(rs: RootSystem, target: TypeSpec | str) -> Optional[Subsystem
     """Search for positive roots of rs realizing the Cartan matrix of target.
 
     Backtracking over positive-root tuples, pruning every partial choice
-    against the Cartan table of rs.  Returns None when the exhaustive
-    search finds nothing (e.g. B2 inside A2).
+    against the Cartan table of rs: the candidates at each depth are the
+    roots, in index order, whose table entries against the roots chosen so
+    far all match, found by one boolean test.  Returns None when the
+    exhaustive search finds nothing (e.g. B2 inside A2).
     """
     if isinstance(target, str):
         target = TypeSpec.parse(target)
-    tc = target_cartan_matrix(target)
+    tc = np.array(target_cartan_matrix(target))
     k = len(tc)
-    P = rs.n_positive
     table = rs.cartan_table
     chosen: list[int] = []
 
     def extend(pos: int) -> bool:
         if pos == k:
             return True
-        for cand in range(P):
-            ok = True
-            for j, prev in enumerate(chosen):
-                if table[cand, prev] != tc[pos][j] or table[prev, cand] != tc[j][pos]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                if extend(pos + 1):
-                    return True
-                chosen.pop()
+        fits = np.all(table[:, chosen] == tc[pos, :pos], axis=1) & \
+            np.all(table[chosen].T == tc[:pos, pos], axis=1)
+        for cand in np.flatnonzero(fits).tolist():
+            chosen.append(cand)
+            if extend(pos + 1):
+                return True
+            chosen.pop()
         return False
 
     if not extend(0):

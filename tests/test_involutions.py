@@ -607,6 +607,24 @@ def test_engine_rejects_key_collision_with_the_level_below(monkeypatch):
         engine.classes(engine.rows([0b1]))
 
 
+def test_engine_looks_a_kept_image_up_in_the_level_below():
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("A4")  # not the shared system: its generators are reordered
+    rs.simple_indices = tuple(rs.simple_indices[j] for j in (1, 3, 0, 2))
+    # in this order a row of the search from 0b111 keeps its image under a
+    # reflection back it did not record: that image lies in the level below,
+    # and only the lookup there keeps the search from going on past it
+    engine = MaskEngine(rs)
+    assert engine.classes(engine.rows([0b111])) == [(60, 7)]
+    (search,) = engine._stored
+    distance = oracle_levels(python_mask_actions(rs), [0b111])
+    levels = [sorted(engine.mask(row) for row in search.rows[a:b])
+              for a, b in zip(search.starts, search.starts[1:])]
+    assert len(levels) == 8
+    assert levels == [sorted(m for m, d in distance.items() if d == level)
+                      for level in range(max(distance.values()) + 1)]
+
+
 @pytest.mark.parametrize("name", RANK_LE_4 + ["A5", "A7", "B6", "C5", "D6", "D8", "E6", "E7",
                                               "E8", "A1xA2", "A2xG2", "B2xG2", "A1xD4",
                                               "A1xD6", "A1xE7"])

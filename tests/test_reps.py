@@ -8,10 +8,10 @@ import pytest
 from weylinv import (GapBudget, GroupElement, InternalError, character_gap,
                      classify_involutions, compose, conj_subsystem_rep,
                      coxeter_rep, default_catalogue, direct_sum,
-                     element_matrix, enumerate_group, exterior_cox_rep,
-                     identity, invert, perm_roots_rep, search_gap, sign_rep,
-                     simple_reflections, tensor, trivial_rep)
-from weylinv.reps import _newton_exterior_trace, _signed_axis_action
+                     enumerate_group, exterior_cox_rep, identity, invert,
+                     perm_roots_rep, search_gap, sign_rep, simple_reflections,
+                     tensor, trivial_rep)
+from weylinv.reps import _signed_axis_action
 
 
 def minus_one(rs):
@@ -79,14 +79,20 @@ def test_exterior_zero_is_constant_one(system):
 
 
 def test_exterior_newton_agrees_with_binomial_on_involutions(system):
-    rs = system("B3")
-    for g in enumerate_group(rs):
-        if not compose(g, g).is_identity():
-            continue
-        for k in range(rs.rank + 1):
-            binomial = exterior_cox_rep(rs, k).trace(g)
-            newton = _newton_exterior_trace(element_matrix(g), k)
-            assert binomial == newton
+    from math import comb
+    for name in ("B3", "F4"):
+        rs = system(name)
+        r = rs.rank
+        cox, reps = coxeter_rep(rs), [exterior_cox_rep(rs, k) for k in range(r + 1)]
+        for g in enumerate_group(rs):
+            if not compose(g, g).is_identity():
+                continue
+            minus = (r - cox.trace(g)) // 2
+            for k, rep in enumerate(reps):
+                # coefficient of x^k in (1+x)^(r-minus) (1-x)^minus
+                binomial = sum(comb(r - minus, k - j) * comb(minus, j) * (-1) ** j
+                               for j in range(k + 1))
+                assert rep.trace(g) == binomial
 
 
 def test_exterior_character_on_non_involutions(system):
@@ -224,16 +230,39 @@ def test_signed_axis_action_matches_the_root_action(system):
         _signed_axis_action(rs, identity(rs), plus, plus)
 
 
-def test_half_subset_characters_take_one_pass_per_element(system, monkeypatch):
-    from weylinv import reps
-    rs = system("D4")
-    elements = enumerate_group(rs)[:1 << rs.rank]  # as many as a largest cube has
-    apart = [tuple(rep.trace(g) for rep in reps.half_subset_split_reps(rs))
-             for g in elements]  # a fresh pair per element shares nothing
-    calls = []
-    monkeypatch.setattr(reps, "_signed_axis_action",
-                        lambda *args: calls.append(1) or _signed_axis_action(*args))
-    plus, minus = reps.half_subset_split_reps(rs)
-    together = [plus.trace(g) for g in elements]  # as a restriction reads them
-    assert list(zip(together, [minus.trace(g) for g in elements])) == apart
-    assert len(calls) == len(elements)
+def half_subset_oracle(rs, g):
+    """(plain, twisted) half-subset traces, one frozenset per subset."""
+    from itertools import combinations
+    n = rs.ambient_dim
+    unit = np.eye(n, dtype=np.int64)
+    other = unit[[1] + [0] * (n - 1)]
+    plus = np.array([rs.index_of(row) for row in unit + other])
+    minus = np.array([rs.index_of(row) for row in unit - other])
+    perm, sign = _signed_axis_action(rs, g, plus, minus)
+    plain = twisted = 0
+    for a in map(frozenset, combinations(range(n), n // 2)):
+        image = frozenset(int(perm[i]) for i in a)
+        s = 1
+        for i in a:
+            s *= int(sign[i])
+        if image == a:
+            plain += s
+        if image == frozenset(range(n)) - a:
+            twisted += s
+    return plain, twisted
+
+
+def test_half_subset_characters_match_the_frozenset_oracle(system):
+    from weylinv import half_subset_split_reps
+    rng = random.Random(12)
+    for name, count in (("D4", None), ("D6", 60), ("D8", 30)):
+        rs = system(name)
+        if count is None:
+            elements = enumerate_group(rs)
+        else:
+            elements = [random_word(rs, rng, 4 * rs.rank) for _ in range(count)]
+        plus, minus = half_subset_split_reps(rs)
+        for g in elements:
+            plain, twisted = half_subset_oracle(rs, g)
+            assert (plus.trace(g), minus.trace(g)) == ((plain + twisted) // 2,
+                                                       (plain - twisted) // 2)

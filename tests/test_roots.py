@@ -358,6 +358,40 @@ def test_find_subsystem_not_found(system):
     assert find_subsystem(system("A2"), "B2") is None
 
 
+def nested_loop_subsystem(rs, target):
+    """The first embedding in the order of find_subsystem, one candidate
+    and one chosen root at a time."""
+    from weylinv.roots import target_cartan_matrix
+    tc = target_cartan_matrix(TypeSpec.parse(target))
+    table = rs.cartan_table
+    chosen = []
+
+    def extend(pos):
+        if pos == len(tc):
+            return True
+        for cand in range(rs.n_positive):
+            if all(table[cand, prev] == tc[pos][j] and table[prev, cand] == tc[j][pos]
+                   for j, prev in enumerate(chosen)):
+                chosen.append(cand)
+                if extend(pos + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if extend(0) else None
+
+
+@pytest.mark.parametrize("amb,sub", [
+    ("E8", "E7"), ("E8", "D8"), ("E8", "A8"), ("E7", "A7"), ("E7", "D6"), ("E6", "A2xA2xA2"),
+    ("F4", "B4"), ("F4", "C3"), ("B4", "D4"), ("C4", "D4"), ("D6", "A1xD4"), ("G2", "A1xA1"),
+    ("A2", "B2"), ("A5", "D4"), ("A7", "D4"), ("B5", "A5"), ("D5", "A1xA1xA1xA1xA1"),
+    ("D6", "E6"), ("E6", "B3"), ("B3", "G2")])
+def test_find_subsystem_matches_the_nested_loop(system, amb, sub):
+    rs = system(amb)
+    emb = find_subsystem(rs, sub)
+    assert (emb and emb.sub_simple_roots) == nested_loop_subsystem(rs, sub)
+
+
 def test_find_subsystem_respects_lengths(system):
     rs = system("G2")
     emb = find_subsystem(rs, "A1xA1")
