@@ -142,7 +142,10 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
         base = parse_atom()
         while peek() == "^":
             take("^")
-            exponent = int(take())
+            tok = take()
+            if not tok.isdecimal():
+                raise ValueError(f"expected an exponent after '^', found {tok!r}")
+            exponent = int(tok)
             if exponent > MAX_EXPONENT:
                 raise ValueError(
                     f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}")

@@ -12,34 +12,34 @@ byte j of a row holds mask bits 8j .. 8j + 7.  A permutation of the roots
 acts through per-byte lookup tables (the image of a row is the sum of one
 table entry per byte), and so does a 64-bit key per mask, the wrapping sum
 of fixed-seed keys of its bits; one fused table yields the image row and its
-key under any simple reflection, so only the images kept are gathered.  An
-orbit is one labelled breadth-first search.  Each new mask records some of
-the reflections that lead back to the level before: the one that made it
-and those its source recorded that commute with that one.  Its images under
-them are skipped, and so is its image under s_g when it records an s_h with
-h < g that commutes with s_g: that image closes a commuting square whose
-other three edges the search took earlier (the commutation rule of Cartier
-and Foata, LNM 85, 1969), so it joins no new seeds, and no mask is missed.
-A row need not record every reflection back, and its image under one it did
-not record may be kept; that image lies in the level before, so kept images
-are looked up by key in the current level and that one.  Every key match and
-every repeated key is compared row by row, and a last pass checks that keys
-are distinct across levels, so two masks sharing a key raise InternalError
-instead of merging two orbits.  A union-find over the seeds labels the
-orbits; a stored search records each orbit's size and least mask.  Callers
-get those classes, the class of each given mask (restriction to a cube asks
-it of the cube's products) and counts of an orbit's masks inside a given
-mask; only a permutation representation reads one orbit's rows.
+key under any simple reflection, so only the images kept are gathered.  The
+orbits of some masks are one labelled breadth-first search.  Each new mask
+records some of the reflections that lead back to the level before: the one
+that made it and those its source recorded that commute with that one.  Its
+images under them are skipped, and so is its image under s_g when it records
+an s_h with h < g that commutes with s_g: that image closes a commuting
+square whose other three edges the search took earlier (the commutation
+rule of Cartier and Foata, LNM 85, 1969), so it joins no new seeds, and no
+mask is missed.  A row need not record every reflection back, and its image
+under one it did not record may be kept; that image lies in the level
+before, so kept images are looked up by key in the current level and that
+one.  Every key match and every repeated key is compared row by row, and a
+last pass checks that keys are distinct across the whole search, so two
+masks sharing a key raise InternalError instead of merging two orbits.  A
+union-find over the seeds labels the orbits, and the finished search is cut
+into its orbits.  Callers get each orbit's size and least mask, the class of
+each given mask (restriction to a cube asks it of the cube's products) and
+counts of an orbit's masks inside a given mask; only a permutation
+representation reads one orbit's rows.
 
-The engine of a root system stores every search, read-only, and searches
-only the given masks found in none.  The number of bits set, which
-conjugation keeps, rules out most stored searches; in the rest a mask is
-looked up by key level by level (a level is sorted by key) until it is
-found, and every key match is compared row by row.  So low-rank cubes and
-small subsystems' orbits are read off the involution layers: a degree-k
-involution is the product of the reflections in k orthogonal roots (Carter,
-Compositio Math. 25 (1972), Lemma 5), so if its (-1)-eigenspace holds no
-other root, its mask is a cube.
+The engine of a root system stores every orbit it found, read-only, and
+searches only the given masks found in none.  The number of bits set, which
+conjugation keeps, rules out most stored orbits; in the rest a mask is
+looked up by key (an orbit's rows are sorted by key), and every key match
+is compared row by row.  So low-rank cubes and small subsystems' orbits are
+read off the involution layers: a degree-k involution is the product of the
+reflections in k orthogonal roots (Carter, Compositio Math. 25 (1972),
+Lemma 5), so if its (-1)-eigenspace holds no other root, its mask is a cube.
 
 Involutions and cubes are never walked one by one.  Each degree layer of
 involutions is the orbit of every class representative of the degree below
@@ -129,7 +129,7 @@ class MaskEngine:
             for m in (orthogonal, single, single | np.triu(orthogonal)))
         # entry [j, v]: the images a row skips when byte j of its parents is v
         self._skips = _byte_tables(skips, np.bitwise_or)
-        self._stored: list[_Search] = []  # every search, in order
+        self._stored: list[_Orbit] = []  # every orbit found, in order
 
     def apply(self, rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """Sum of one table entry per byte of each row: the keys for the key
@@ -176,74 +176,62 @@ class MaskEngine:
         same = self.apply(rows, _byte_tables(self._units[perm], np.add)) == rows
         return int(np.count_nonzero(reduce(np.logical_and, same.T)))  # in every word
 
+    def least_mask(self, rows: np.ndarray) -> int:
+        """The least mask among the given rows."""
+        for w in reversed(range(self.nwords)):  # the most significant word first
+            word = rows[:, w]
+            rows = rows[word == word.min()]
+        return self.mask(rows[0])
+
     def orbit_classes(self, rows: np.ndarray) -> list[tuple[int, int]]:
         """(size, least mask) of the orbit of each given row, in order."""
-        where, at = self._locate(rows)
-        return [self._stored[s].orbits[self._stored[s].labels[i]]
-                for s, i in zip(where.tolist(), at.tolist())]
+        return [(len(orbit.rows), orbit.least) for orbit in self._locate(rows)]
 
     def classes(self, rows: np.ndarray) -> list[tuple[int, int]]:
         """(size, least mask) of each orbit through the given rows, sorted."""
         return sorted(set(self.orbit_classes(rows)))
 
     def orbit_rows(self, mask: int) -> np.ndarray:
-        """The rows of the orbit of a mask: a stored array when the orbit is
-        the whole of its search, else a copy of that orbit's rows."""
-        (s,), (i,) = self._locate(self.rows([mask]))
-        search = self._stored[s]
-        if len(search.orbits) == 1:
-            return search.rows
-        return search.rows[search.labels == search.labels[i]]
+        """The rows of the orbit of a mask, a stored read-only array."""
+        (orbit,) = self._locate(self.rows([mask]))
+        return orbit.rows
 
     def count_inside(self, rows: np.ndarray, within: int) -> np.ndarray:
         """For the orbit of each given row, how many of its masks lie inside
         the mask within."""
-        where, at = self._locate(rows)
         outside = ~self.rows([within])[0]
-        counts = np.zeros(len(rows), dtype=int)
-        for s in set(where.tolist()):
-            found, search = np.flatnonzero(where == s), self._stored[s]
-            labels = search.labels[at[found]]
-            inside = ~(search.rows & outside).any(axis=1)
-            counts[found] = np.bincount(search.labels[inside],
-                                        minlength=int(labels.max()) + 1)[labels]
-        return counts
+        return np.array([np.count_nonzero(~(orbit.rows & outside).any(axis=1))
+                         for orbit in self._locate(rows)], dtype=int)
 
-    def _locate(self, rows: np.ndarray) -> tuple:
-        """(stored search, row in it) of each given row.  The number of bits
-        set, which conjugation keeps, skips the stored searches that hold no
-        mask of that size; the given rows found in none are searched together
-        and the search is stored."""
+    def _locate(self, rows: np.ndarray) -> list[_Orbit]:
+        """The stored orbit of each given row.  The number of bits set, which
+        conjugation keeps, skips the stored orbits of masks of another size;
+        in the rest a row is looked up by key and every key match is compared
+        row by row.  The given rows found in none are searched together, the
+        orbits found are stored, and those rows are looked up in them."""
         keys = self.keys(rows)
-        sizes = np.unpackbits(self._bytes(rows), axis=1).sum(axis=1)
-        where, at = np.full(len(rows), -1), np.zeros(len(rows), dtype=np.intp)
-        for s, search in enumerate(self._stored):
-            look = search.holds[sizes].nonzero()[0]
-            look_keys = keys[look]
-            for a, b in zip(search.starts, search.starts[1:]):
-                if not len(look):
-                    break
-                level = search.keys[a:b]
-                pos = np.minimum(level.searchsorted(look_keys), b - a - 1)
-                hit = level[pos] == look_keys
-                if hit.any():
-                    found, pos = look[hit], pos[hit] + a
-                    _no_collision((search.rows[pos] == rows[found]).all())
-                    where[found], at[found] = s, pos
-                    # a search's keys are distinct across its levels, so a row
-                    # found here has no key match at the levels still to come
-                    look, look_keys = look[~hit], look_keys[~hit]
-        miss = np.flatnonzero(where < 0)
-        if len(miss):
-            new = self._search(rows[miss], keys[miss], sizes[miss])
-            self._stored.append(new)
-            where[miss] = len(self._stored) - 1  # the seeds are level 0
-            at[miss] = np.searchsorted(new.keys[:new.starts[1]], keys[miss])
-        return where, at
+        nbits = np.unpackbits(self._bytes(rows), axis=1).sum(axis=1)
+        sized = {n: np.flatnonzero(nbits == n) for n in set(nbits.tolist())}
+        where, looked = np.full(len(rows), -1), 0
+        while True:
+            for s in range(looked, len(self._stored)):
+                orbit = self._stored[s]
+                look = sized.get(orbit.nbits)
+                if look is None:
+                    continue
+                pos = np.minimum(orbit.keys.searchsorted(keys[look]), len(orbit.keys) - 1)
+                hit = orbit.keys[pos] == keys[look]
+                _no_collision((orbit.rows[pos[hit]] == rows[look[hit]]).all())
+                where[look[hit]] = s
+            miss = np.flatnonzero(where < 0)
+            if not len(miss):
+                return [self._stored[s] for s in where.tolist()]
+            looked = len(self._stored)
+            self._stored += self._search(rows[miss], keys[miss])
 
-    def _search(self, rows: np.ndarray, keys: np.ndarray, sizes: np.ndarray) -> _Search:
-        """The orbits of the given rows, none of them stored, whose keys and
-        numbers of bits set are given.
+    def _search(self, rows: np.ndarray, keys: np.ndarray) -> list[_Orbit]:
+        """The orbits of the given rows, none of them stored, whose keys are
+        given.
 
         Level d holds the masks d reflections from the nearest seed; a parent
         of a row x in level d is a reflection s with s x in level d-1.  Each
@@ -265,9 +253,8 @@ class MaskEngine:
         images are looked up in level d and in level d-1; without the second
         lookup the search would run past the longest element.  What is left,
         made distinct, is level d+1.  A label is the least seed joined to the
-        row's seed where two met."""
-        holds = np.zeros(self.nbits + 1, dtype=bool)
-        holds[sizes] = True
+        row's seed where two met; the rows of one label are one orbit, its
+        rows sorted by key."""
         images = np.hstack([rows, keys[:, None]])
         root = np.arange(len(rows))
         seeds = root.astype(np.min_scalar_type(len(rows)))  # labels take the least dtype
@@ -299,21 +286,42 @@ class MaskEngine:
             images = self.images(level[0], at, gens)
             seeds = level[2][at]
             parents = parents[at] & self._commuting[gens] | self._single[gens]
-        starts = np.cumsum([0] + [len(k) for _, k, _ in levels]).tolist()
-        parts = [list(part) for part in zip(*levels)]
-        levels.clear()  # so that each level goes once it is copied
-        rows, keys, seeds = (np.concatenate(parts.pop(0)) for _ in range(3))
-        _no_collision(np.all(np.diff(np.sort(keys)) != 0))  # distinct across levels too
-        labels = root.astype(seeds.dtype)[seeds]
-        for part in rows, keys, labels:
+        parts, keys, seeds = zip(*levels)
+        levels.clear()
+        keys = np.concatenate(keys)
+        labels = root.astype(seeds[0].dtype)[np.concatenate(seeds)]
+        # The end of the largest search is the peak of a classification, so
+        # the permutation takes the least dtype, each temporary goes as soon
+        # as it is used, and each level's rows go straight to their places.
+        order = np.argsort(keys).astype(np.min_scalar_type(len(keys)))
+        keys = keys[order]
+        _no_collision(np.all(keys[1:] != keys[:-1]))  # distinct across the search
+        by_label = np.argsort(labels[order], kind="stable")
+        keys, order = keys[by_label], order[by_label]
+        del by_label
+        labels = labels[order]
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order), dtype=order.dtype)
+        del order
+        rows, start = np.empty((len(keys), self.nwords), dtype=_WORD), 0
+        for part in parts:
+            rows[place[start:start + len(part)]] = part
+            start += len(part)
+        del parts
+        for part in rows, keys:
             part.flags.writeable = False
-        return _Search(rows, keys, labels, starts, holds, _orbit_classes(self, rows, labels))
+        cuts = np.flatnonzero(np.diff(labels)) + 1
+        orbits = []
+        for orbit_rows, orbit_keys in zip(np.split(rows, cuts), np.split(keys, cuts)):
+            least = self.least_mask(orbit_rows)
+            orbits.append(_Orbit(orbit_rows, orbit_keys, least, least.bit_count()))
+        return orbits
 
 
-# One stored search, its arrays read-only: the rows level by level, each level
-# sorted by key, with their keys and labels; where each level starts, and the
-# end; holds[k] when it holds masks of k bits; (size, least mask) of each label.
-_Search = namedtuple("_Search", "rows keys labels starts holds orbits")
+# One stored orbit: its rows sorted by key and their keys, read-only views of
+# the arrays of the search that found it; its least mask; the number of bits
+# its masks set.
+_Orbit = namedtuple("_Orbit", "rows keys least nbits")
 
 
 @per_system
@@ -335,19 +343,6 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         low, high = sorted((root[pair // n], root[pair % n]))
         root[root == high] = low
     return root
-
-
-def _orbit_classes(engine: MaskEngine, rows: np.ndarray, labels: np.ndarray) -> dict:
-    """(size, least mask) of the rows of each label, by label."""
-    found = {}
-    order = np.argsort(labels, kind="stable")  # one sort; stable is linear on equal runs
-    for least in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        size, label = len(least), int(labels[least[0]])  # least: row indices of one label
-        for w in reversed(range(engine.nwords)):  # the most significant word first
-            word = rows[least, w]
-            least = least[word == word.min()]
-        found[label] = size, engine.mask(rows[least[0]])
-    return found
 
 
 # -- cubes ------------------------------------------------------------------

@@ -422,7 +422,7 @@ def test_engine_packing_across_three_words():
 
 @pytest.mark.parametrize("name,words", [("E8", 2), ("D12", 3)])
 def test_engine_least_row_across_words(name, words):
-    from weylinv.involutions import MaskEngine, _orbit_classes
+    from weylinv.involutions import MaskEngine
     rs = build_root_system(name)
     engine = MaskEngine(rs)
     assert engine.nwords == words
@@ -437,15 +437,26 @@ def test_engine_least_row_across_words(name, words):
     rng.shuffle(masks)
     rows = engine.rows(masks)
     labels = np.array([rng.randrange(6) for _ in masks])
-    expected = {label: (int(np.count_nonzero(labels == label)),
-                        min(engine.mask(row) for row in rows[labels == label]))
+    expected = {label: min(engine.mask(row) for row in rows[labels == label])
                 for label in set(labels.tolist())}
     assert len(expected) > 1
-    assert _orbit_classes(engine, rows, labels) == expected
+    assert {label: engine.least_mask(rows[labels == label]) for label in expected} == expected
+
+
+def record_calls(monkeypatch, name):
+    """The arguments of each call of MaskEngine.<name> from here on."""
+    from weylinv.involutions import MaskEngine
+    calls, method = [], getattr(MaskEngine, name)
+
+    def recorded(self, *args):
+        calls.append(args)
+        return method(self, *args)
+    monkeypatch.setattr(MaskEngine, name, recorded)
+    return calls
 
 
 @pytest.mark.parametrize("name", RANK_LE_4 + ["A1xA2", "E6"])
-def test_engine_orbit_labels_match_orbit_partition(name):
+def test_engine_orbit_labels_match_orbit_partition(monkeypatch, name):
     from weylinv import orbit_partition
     from weylinv.involutions import MaskEngine
     rs = build_root_system(name)
@@ -460,13 +471,14 @@ def test_engine_orbit_labels_match_orbit_partition(name):
     seeds += rng.sample(seeds, len(seeds) // 4)  # and masks seeded twice
     rng.shuffle(seeds)
     engine = MaskEngine(rs)
+    searches = record_calls(monkeypatch, "_search")
     # one search of every seed: the labels must join exactly each orbit's seeds
     assert engine.classes(engine.rows([mask for _, mask in seeds])) == \
         sorted((len(orbit), min(orbit)) for orbit in oracle)
-    assert len(engine._stored) == 1
+    assert len(searches) == 1
     for i, mask in seeds:
         assert sorted(engine.mask(row) for row in engine.orbit_rows(mask)) == sorted(oracle[i])
-    assert len(engine._stored) == 1
+    assert len(searches) == 1
 
 
 def oracle_levels(actions, seeds):
@@ -482,7 +494,7 @@ def oracle_levels(actions, seeds):
 
 
 @pytest.mark.parametrize("name", ["D4", "F4", "E6", "A1xA2", "A2xG2", "B2xG2", "A1xD4"])
-def test_engine_levels_are_distances_from_the_seeds(name):
+def test_engine_levels_are_distances_from_the_seeds(monkeypatch, name):
     from weylinv import orbit_partition
     from weylinv.involutions import MaskEngine
     rs = build_root_system(name)
@@ -499,20 +511,24 @@ def test_engine_levels_are_distances_from_the_seeds(name):
     seeds += rng.sample(seeds, len(seeds) // 3)  # and masks seeded twice
     rng.shuffle(seeds)
     engine = MaskEngine(rs)
+    searches, images = record_calls(monkeypatch, "_search"), record_calls(monkeypatch, "images")
     engine.classes(engine.rows(seeds))
-    (search,) = engine._stored
+    assert len(searches) == 1
     distance = oracle_levels(actions, seeds)
-    levels = [sorted(engine.mask(row) for row in search.rows[a:b])
-              for a, b in zip(search.starts, search.starts[1:])]
+    levels = [sorted(engine.mask(row) for row in rows) for rows, _, _ in images]
     assert levels == [sorted(m for m, d in distance.items() if d == level)
                       for level in range(max(distance.values()) + 1)]
-    # a label is the first place of a seed of the row's orbit in the given seeds
+    # a label is the first place of a seed of the row's orbit in the given
+    # seeds, and the orbits are stored in the order of their labels
     orbit_of = {m: i for i, orbit in enumerate(orbits) for m in orbit}
     first_seed = {}
     for place, mask in enumerate(seeds):
         first_seed.setdefault(orbit_of[mask], place)
-    assert search.labels.tolist() == [first_seed[orbit_of[engine.mask(row)]]
-                                      for row in search.rows]
+    assert [sorted(engine.mask(row) for row in orbit.rows) for orbit in engine._stored] == \
+        [sorted(orbits[i]) for i in sorted(first_seed, key=first_seed.get)]
+    for orbit in engine._stored:  # each orbit's rows sorted by key
+        assert orbit.keys.tolist() == engine.keys(orbit.rows).tolist()
+        assert np.all(orbit.keys[1:] > orbit.keys[:-1])
 
 
 def test_reduction_rejects_a_cube_class_missing_from_the_table():
@@ -607,7 +623,39 @@ def test_engine_rejects_key_collision_with_the_level_below(monkeypatch):
         engine.classes(engine.rows([0b1]))
 
 
-def test_engine_looks_a_kept_image_up_in_the_level_below():
+def test_engine_rejects_key_collision_across_orbits_of_one_search(monkeypatch):
+    from weylinv import InternalError
+    from weylinv import involutions
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("A1xA4")
+    full = (1 << rs.n_positive) - 1
+    (a1,) = [i for i in range(rs.n_positive) if rs.orth_masks[i] | 1 << i == full]
+    assert a1 != 0  # root 0 is A4's
+    keys = involutions._bit_keys(rs.n_positive)
+    keys[0] = keys[a1]  # so {a1, x} and {0, x} share a key for every root x
+    monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
+    # One orbit is {a1, x} for the roots x of A4, seeded at {a1, 0}; the other
+    # the pairs of orthogonal roots of A4, seeded at a pair without 0 from
+    # which each {0, x} lies three or more levels from {a1, x} (a new image
+    # is looked up in the two levels below its own).  No seed shares a key,
+    # and no lookup compares two masks that do: only the check that keys are
+    # distinct across the whole search sees the two orbits collide.
+    P, actions = rs.n_positive, python_mask_actions(rs)
+    one = oracle_levels(actions, [1 << a1 | 0b1])
+    shared = [x for x in range(P) if x != a1 and rs.orth_masks[0] >> x & 1]
+
+    def apart(seed):
+        two = oracle_levels(actions, [seed])
+        return all(abs(one[1 << a1 | 1 << x] - two[0b1 | 1 << x]) >= 3 for x in shared)
+    seeds = [1 << u | 1 << v for u in range(1, P) for v in range(u + 1, P)
+             if a1 not in (u, v) and rs.orth_masks[u] >> v & 1 and apart(1 << u | 1 << v)]
+    assert seeds
+    engine = MaskEngine(rs)
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        engine.classes(engine.rows([1 << a1 | 0b1, seeds[0]]))
+
+
+def test_engine_looks_a_kept_image_up_in_the_level_below(monkeypatch):
     from weylinv.involutions import MaskEngine
     rs = build_root_system("A4")  # not the shared system: its generators are reordered
     rs.simple_indices = tuple(rs.simple_indices[j] for j in (1, 3, 0, 2))
@@ -615,11 +663,11 @@ def test_engine_looks_a_kept_image_up_in_the_level_below():
     # reflection back it did not record: that image lies in the level below,
     # and only the lookup there keeps the search from going on past it
     engine = MaskEngine(rs)
+    searches, images = record_calls(monkeypatch, "_search"), record_calls(monkeypatch, "images")
     assert engine.classes(engine.rows([0b111])) == [(60, 7)]
-    (search,) = engine._stored
+    assert len(searches) == 1
     distance = oracle_levels(python_mask_actions(rs), [0b111])
-    levels = [sorted(engine.mask(row) for row in search.rows[a:b])
-              for a, b in zip(search.starts, search.starts[1:])]
+    levels = [sorted(engine.mask(row) for row in rows) for rows, _, _ in images]
     assert len(levels) == 8
     assert levels == [sorted(m for m, d in distance.items() if d == level)
                       for level in range(max(distance.values()) + 1)]
@@ -663,7 +711,7 @@ def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
 
     def counted(self, *args):
         found = search(self, *args)
-        searched.append(len(found.rows))
+        searched.append(sum(len(orbit.rows) for orbit in found))
         return found
     monkeypatch.setattr(MaskEngine, "_search", counted)
     rs = build_root_system("E7")
@@ -675,10 +723,27 @@ def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
     for target in ("A1", "D2", "D4"):
         conj_subsystem_rep(rs, target)
     assert searched == []
-    # an orbit that is all of a stored search is that search's rows, not a copy
+    # an orbit's rows are the stored array, not a copy
     engine = _mask_engine(rs)
-    assert engine.orbit_rows(find_subsystem(rs, "A1").positive_closure_mask()) \
-        is engine._stored[1].rows
+    rows = engine.orbit_rows(find_subsystem(rs, "A1").positive_closure_mask())
+    assert any(rows is orbit.rows for orbit in engine._stored)
+
+
+@pytest.mark.parametrize("name", ["D6", "E7", "E8"])
+def test_conjugate_orbits_are_stored_read_only_arrays(name):
+    from weylinv import base_catalogue
+    from weylinv.involutions import _mask_engine
+    rs = build_root_system(name)
+    classify_involutions(rs)  # so that some subsystems' orbits are parts of its searches
+    base, _ = base_catalogue(rs)
+    targets = [rep.descriptor[len("conj["):-1] for rep in base
+               if rep.descriptor.startswith("conj[")]
+    assert "D4" in targets
+    engine = _mask_engine(rs)
+    for target in targets:
+        rows = engine.orbit_rows(find_subsystem(rs, target).positive_closure_mask())
+        assert not rows.flags.writeable, target
+        assert any(rows is orbit.rows for orbit in engine._stored), target
 
 
 # (row, reflection) images the orbit search sorted when it computed every
