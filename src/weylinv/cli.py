@@ -110,19 +110,27 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
             raise ValueError(f"cannot tokenize expression at {text[pos:]!r}")
         tokens.append(m.group(1))
         pos = m.end()
-    tokens.append("$")
     idx = 0
 
     def peek():
-        return tokens[idx]
+        return tokens[idx] if idx < len(tokens) else None
 
-    def take(expected=None):
+    def take(expected=None, what=None):
+        """The next token, which must be `expected` if that is given; an
+        error names the token wanted as `what`, else as `expected`."""
         nonlocal idx
-        tok = tokens[idx]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
+        tok = peek()
+        if tok is None or expected is not None and tok != expected:
+            found = "end of expression" if tok is None else repr(tok)
+            raise ValueError(f"expected {what or repr(expected)}, found {found}")
         idx += 1
         return tok
+
+    def take_number(what):
+        tok = take(what=what)
+        if not tok.isdecimal():
+            raise ValueError(f"expected {what}, found {tok!r}")
+        return int(tok)
 
     def parse_sum():
         acc = parse_product()
@@ -142,10 +150,7 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
         base = parse_atom()
         while peek() == "^":
             take("^")
-            tok = take()
-            if not tok.isdecimal():
-                raise ValueError(f"expected an exponent after '^', found {tok!r}")
-            exponent = int(tok)
+            exponent = take_number("an exponent after '^'")
             if exponent > MAX_EXPONENT:
                 raise ValueError(
                     f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}")
@@ -156,7 +161,7 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
         return base
 
     def parse_atom():
-        tok = take()
+        tok = take(what="a term")
         if tok == "(":
             inner = parse_sum()
             take(")")
@@ -165,13 +170,13 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
             return InvariantExpr.t(rs)
         if tok == "sw":
             take("(")
-            name = take()
+            name = take(what="a representation")
             rep = aliases.get(name)
             if rep is None:
                 raise ValueError(
                     f"unknown representation {name!r}; known: {', '.join(sorted(aliases))}")
             take(",")
-            i = int(take())
+            i = take_number("an sw index")
             take(")")
             return sw(rep, i)
         if tok.isdigit():
@@ -180,7 +185,8 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
         raise ValueError(f"unexpected token {tok!r}")
 
     out = parse_sum()
-    take("$")
+    if peek() is not None:
+        raise ValueError(f"unexpected token {peek()!r}")
     return out
 
 

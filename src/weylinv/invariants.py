@@ -22,21 +22,22 @@ once per involution orbit: N(S) is read off the value on the orbit of g_S
 (Representation.class_value), and the transform of sw_k, the union of the
 sets of S whose g_S lies in an orbit where N(S) & k == k, is built only for
 the k asked for.  The orbits of a cube's products are looked up in the
-orbit engine once per cube, and kept while a representation restricted to
-the cube lives; restricting a cube searches only those orbits of its
-products that are not stored yet.
+orbit engine once per cube, which holds them, so every representation
+restricted to the cube shares them; the engine searches only those orbits
+of the products that it does not store yet.  A restriction and its
+transforms are held by the representation.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Iterable, Optional, Sequence
-from weakref import WeakValueDictionary
 
 import numpy as np
 
-from .roots import InternalError, RootSystem, per_system
+from .roots import InternalError, RootSystem, memoized
 from .involutions import Cube, InvolutionClass, _mask_engine
 from .reps import Representation
 
@@ -326,56 +327,38 @@ def _hadamard(n: int) -> np.ndarray:
                   np.ones((1, 1), dtype=np.int8))
 
 
-class _Products:
-    """The orbits of the 2^n products g_S of a cube: the least mask of each
-    orbit they meet, the index in that tuple of the orbit of each g_S, and
-    the bitmask of the S whose g_S lies in each orbit."""
-
-    __slots__ = ("orbits", "of_s", "members", "__weakref__")
-
-    def __init__(self, orbits: tuple[int, ...], of_s: np.ndarray, members: tuple[int, ...]):
-        self.orbits, self.of_s, self.members = orbits, of_s, members
+# The orbits of the 2^n products g_S of a cube: the least mask of each orbit
+# they meet, the index in that tuple of the orbit of each g_S, and the bitmask
+# of the S whose g_S lies in each orbit.
+_Products = namedtuple("_Products", "orbits of_s members")
 
 
-@per_system
-def _product_orbits(rs: RootSystem) -> WeakValueDictionary:
-    """Cube roots -> _Products, for as long as a representation restricted
-    to the cube holds them."""
-    return WeakValueDictionary()
-
-
+@memoized
 def _product_classes(cube: Cube) -> _Products:
-    """The orbits of the products of a cube, worked out once per cube.  The
-    engine reads each product's orbit off its stored searches, and searches
-    only the orbits none of them holds."""
-    memo = _product_orbits(cube.home)
-    found = memo.get(cube.roots)
-    if found is None:
-        rs = cube.home
-        images = np.arange(2 * rs.n_positive, dtype=np.int16)[None]  # row S is g_S
-        for i in cube.roots:
-            images = np.vstack([images, images[:, rs.reflection_perm(i)]])
-        engine = _mask_engine(rs)
-        index: dict[int, int] = {}
-        of_s, members = [], []
-        for s, (_, least) in enumerate(engine.orbit_classes(engine.negated_rows(images))):
-            j = index.setdefault(least, len(index))
-            if j == len(members):
-                members.append(0)
-            members[j] |= 1 << s
-            of_s.append(j)
-        of_s = np.array(of_s, dtype=np.min_scalar_type(len(index)))
-        found = memo[cube.roots] = _Products(tuple(index), of_s, tuple(members))
-    return found
+    """The orbits of the products of a cube.  The engine reads each
+    product's orbit off its stored orbits, and searches only the products
+    none of them holds."""
+    rs = cube.home
+    images = np.arange(2 * rs.n_positive, dtype=np.int16)[None]  # row S is g_S
+    for i in cube.roots:
+        images = np.vstack([images, images[:, rs.reflection_perm(i)]])
+    engine = _mask_engine(rs)
+    index: dict[int, int] = {}
+    of_s, members = [], []
+    for s, (_, least) in enumerate(engine.orbit_classes(engine.negated_rows(images))):
+        j = index.setdefault(least, len(index))
+        if j == len(members):
+            members.append(0)
+        members[j] |= 1 << s
+        of_s.append(j)
+    of_s = np.array(of_s, dtype=np.min_scalar_type(len(index)))
+    return _Products(tuple(index), of_s, tuple(members))
 
 
-def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int], dict, _Products]:
+@memoized
+def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int], _Products]:
     """The character multiplicities of rep on the cube, N(S) on each orbit
-    of the products g_S, the transforms of sw_k built so far by k, and those
-    orbits, memoized on rep."""
-    memo = rep.restrictions.get(cube)
-    if memo is not None:
-        return memo
+    of the products g_S, and those orbits."""
     if rep.home is not cube.home:
         raise ValueError("representation and cube live on different root systems")
     products = _product_classes(cube)
@@ -390,18 +373,16 @@ def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int],
     mults = (sums // len(traces)).tolist()
     if sum(mults) != rep.dim:
         raise InternalError("character multiplicities do not add to the dimension")
-    minus = ((rep.dim - values) // 2).tolist()
-    memo = rep.restrictions[cube] = (mults, minus, {}, products)
-    return memo
+    return mults, ((rep.dim - values) // 2).tolist(), products
 
 
+@memoized
 def _transform(rep: Representation, cube: Cube, k: int) -> int:
     """The transform of sw_k of rep restricted to the cube, {S : N(S) & k == k}
-    (C(N(S), k) odd), built on first request from the orbits of the g_S."""
-    _, minus, transforms, products = _restriction(rep, cube)
-    if k not in transforms:  # the member sets are disjoint: their sum is their union
-        transforms[k] = sum(m for m, n in zip(products.members, minus) if n & k == k)
-    return transforms[k]
+    (C(N(S), k) odd), built from the orbits of the g_S."""
+    _, minus, products = _restriction(rep, cube)
+    # the member sets are disjoint: their sum is their union
+    return sum(m for m, n in zip(products.members, minus) if n & k == k)
 
 
 def character_multiplicities(rep: Representation, cube: Cube) -> list[int]:

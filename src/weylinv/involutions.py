@@ -57,7 +57,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .roots import InternalError, RootSystem, SubsystemEmbedding, per_system
+from .roots import InternalError, RootSystem, SubsystemEmbedding, memoized
 from .weyl import (GroupElement, compose, coxeter_trace, group_order,
                    identity, subgroup_order)
 
@@ -324,7 +324,7 @@ class MaskEngine:
 _Orbit = namedtuple("_Orbit", "rows keys least nbits")
 
 
-@per_system
+@memoized
 def _mask_engine(rs: RootSystem) -> MaskEngine:
     """The one orbit engine of a root system."""
     return MaskEngine(rs)
@@ -349,9 +349,14 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Cube:
-    """Pairwise orthogonal positive roots, i.e. a 2-elementary subgroup."""
+    """Pairwise orthogonal positive roots, i.e. a 2-elementary subgroup.
 
-    __slots__ = ("home", "roots", "mask")
+    The orbits of its products, which restriction to it reads, are held in
+    its `_memo` by a `memoized` function: every representation restricted to
+    this cube shares them, and they go with the cube.
+    """
+
+    __slots__ = ("home", "roots", "mask", "_memo")
 
     def __init__(self, home: RootSystem, roots: Sequence[int]):
         roots = tuple(sorted(roots))
@@ -368,6 +373,7 @@ class Cube:
         self.mask = 0
         for i in roots:
             self.mask |= 1 << i
+        self._memo: dict = {}
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -495,7 +501,7 @@ class InvolutionClass:
         return f"InvolutionClass({self.class_id}, size {self.size})"
 
 
-@per_system
+@memoized
 def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
     """Conjugacy classes of involutions, sorted by (degree, size, minimal key)."""
     engine = _mask_engine(rs)
@@ -545,7 +551,7 @@ def _orthogonal_to(rs: RootSystem, roots: Sequence[int]) -> int:
     return reduce(int.__and__, (rs.orth_masks[r] for r in roots), (1 << rs.n_positive) - 1)
 
 
-@per_system
+@memoized
 def classify_cubes(rs: RootSystem) -> list[CubeClass]:
     """Conjugacy classes of cubes, sorted by (rank, size, minimal key).
 

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .roots import InternalError, RootSystem, SubsystemEmbedding, TypeSpec, find_subsystem
+from .roots import (InternalError, RootSystem, SubsystemEmbedding, TypeSpec, find_subsystem,
+                    memoized)
 from .involutions import Cube, InvolutionClass, _greedy_roots, _mask_engine
 from .weyl import GroupElement, coxeter_trace, element_matrix, length_parity
 
@@ -27,14 +28,14 @@ class Representation:
 
     The trace must be a character, a class function: restriction to cubes and
     character gaps read it once per involution orbit, at the involution whose
-    mask is the orbit's least (the class representative's), and keep that
-    value.  A direct sum or a tensor product adds or multiplies the values of
-    its two factors.  Equality is identity: two representations may share a
-    descriptor.
+    mask is the orbit's least (the class representative's).  A direct sum or
+    a tensor product adds or multiplies the values of its two factors.  What
+    is derived from a representation (its class values, its restriction to
+    each cube) is held in its `_memo` by `memoized` functions, and goes with it.
+    Equality is identity: two representations may share a descriptor.
     """
 
-    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "_factors",
-                 "class_values", "restrictions")
+    __slots__ = ("descriptor", "dim", "home", "_trace_fn", "_factors", "_memo")
 
     def __init__(self, descriptor: str, dim: int, home: RootSystem,
                  trace_fn: Optional[Callable[[GroupElement], int]],
@@ -44,11 +45,7 @@ class Representation:
         self.home = home
         self._trace_fn = trace_fn
         self._factors = factors  # (operator, a, b) of a sum or tensor, else None
-        self.class_values: dict[int, int] = {}  # least mask of an involution orbit -> trace
-        # Cube -> (character multiplicities, N(S) on each orbit of the cube's
-        # products, the transform of sw_k by each k asked for, those orbits):
-        # invariants._restriction
-        self.restrictions: dict = {}
+        self._memo: dict = {}
 
     def trace(self, g: GroupElement) -> int:
         if g.home is not self.home:
@@ -58,17 +55,13 @@ class Representation:
             return op(a.trace(g), b.trace(g))
         return self._trace_fn(g)
 
+    @memoized
     def class_value(self, mask: int) -> int:
         """The trace on the involution orbit whose least mask is given."""
-        value = self.class_values.get(mask)
-        if value is None:
-            if self._factors:
-                op, a, b = self._factors
-                value = op(a.class_value(mask), b.class_value(mask))
-            else:
-                value = self.trace(Cube(self.home, _greedy_roots(self.home, mask)).element())
-            self.class_values[mask] = value
-        return value
+        if self._factors:
+            op, a, b = self._factors
+            return op(a.class_value(mask), b.class_value(mask))
+        return self.trace(Cube(self.home, _greedy_roots(self.home, mask)).element())
 
     def __repr__(self):
         return f"Representation({self.descriptor}, dim {self.dim})"
@@ -329,8 +322,7 @@ class GapFindings:
 
 
 def search_gap(rs: RootSystem, cls_a: InvolutionClass, cls_b: InvolutionClass,
-               catalogue: Optional[Sequence[Representation]] = None,
-               budget: GapBudget = GapBudget()) -> GapFindings:
+               catalogue: Optional[Sequence[Representation]] = None) -> GapFindings:
     """Scan a catalogue for representations with |chi(a) - chi(b)| = 2^degree.
 
     Reports exactly the hits found; an empty hit list means none of the
@@ -341,7 +333,7 @@ def search_gap(rs: RootSystem, cls_a: InvolutionClass, cls_b: InvolutionClass,
     if cls_a.home is not rs or cls_b.home is not rs:
         raise ValueError("classes do not belong to the given root system")
     if catalogue is None:
-        catalogue = default_catalogue(rs, budget)
+        catalogue = default_catalogue(rs)
     target = 2 ** cls_a.degree
     hits = []
     for rep in catalogue:

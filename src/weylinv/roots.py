@@ -43,15 +43,26 @@ class InternalError(RuntimeError):
     """A structural invariant that must hold by construction was violated."""
 
 
-def per_system(fn):
-    """Memoize fn(rs) in the memo of rs: computed once per system, never shared."""
+_MISSING = object()
+
+
+def memoized(fn):
+    """Memoize fn(owner, *args) in owner._memo under the key (fn, *args).
+
+    This is the one memo rule: a value derived from a RootSystem, a
+    Representation or a Cube is held by that owner, computed once per owner
+    and arguments, never shared with another owner, and gone with its owner.
+    The arguments must be hashable; the key keeps them alive as long as the
+    owner.
+    """
     @wraps(fn)
-    def memoized(rs: "RootSystem"):
-        memo = rs._memo
-        if fn not in memo:
-            memo[fn] = fn(rs)
-        return memo[fn]
-    return memoized
+    def call(owner, *args):
+        memo, key = owner._memo, (fn, *args)
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(owner, *args)
+        return value
+    return call
 
 
 @dataclass(frozen=True)
@@ -250,8 +261,9 @@ class RootSystem:
     from coordinates back to an index goes through the one exact `_lookup`.
     The `Root` objects of `roots` and the P x P tables `cartan_table` and
     `orth_masks` are built on first use.
-    Immutable after construction; what is derived from it is memoized in
-    `_memo` by the functions decorated with `per_system`.
+    Immutable after construction; everything else derived from it, such as
+    its reflection permutations, classes and orbit engine, is held in its
+    `_memo` by `memoized` functions and lives as long as the system.
     """
 
     def __init__(self, spec: TypeSpec):
@@ -275,7 +287,6 @@ class RootSystem:
         self.n_positive = len(order)
         self._by_bytes = np.argsort(_key(self._icoord_mat))
         self.simple_indices = tuple(self._lookup(simples).tolist())
-        self._refl_cache: dict[int, np.ndarray] = {}
 
     def _lookup(self, coords: np.ndarray) -> np.ndarray:
         """Index of each row of doubled coordinates, or -1 where it is no root."""
@@ -304,10 +315,6 @@ class RootSystem:
 
     def __len__(self) -> int:
         return len(self._icoord_mat)
-
-    @property
-    def simple_roots(self) -> list[Root]:
-        return [self.roots[i] for i in self.simple_indices]
 
     def negative_index(self, i: int) -> int:
         P = self.n_positive
@@ -343,21 +350,7 @@ class RootSystem:
 
     def reflection_perm(self, i: int) -> np.ndarray:
         """Permutation of the root list induced by the reflection in root i."""
-        i = self.positive_index(i)
-        perm = self._refl_cache.get(i)
-        if perm is None:
-            alpha = self._icoord_mat[i]
-            norm = int(alpha @ alpha)
-            num = 2 * (self._icoord_mat @ alpha)
-            if np.any(num % norm):
-                raise InternalError("non-integral reflection coefficient")
-            perm = self._lookup(self._icoord_mat - np.outer(num // norm, alpha))
-            if np.any(perm < 0):
-                raise InternalError("a reflection maps a root outside the root system")
-            perm = perm.astype(np.int16)
-            perm.setflags(write=False)
-            self._refl_cache[i] = perm
-        return perm
+        return _reflection_perm(self, self.positive_index(i))
 
     def simple_reflection_perms(self) -> list[np.ndarray]:
         return [self.reflection_perm(i) for i in self.simple_indices]
@@ -374,6 +367,22 @@ class RootSystem:
             "roots": [[str(Fraction(c, 2)) for c in row]
                       for row in self._icoord_mat.tolist()],
         }
+
+
+@memoized
+def _reflection_perm(rs: RootSystem, i: int) -> np.ndarray:
+    """The reflection permutation of positive root i, read-only."""
+    alpha = rs._icoord_mat[i]
+    norm = int(alpha @ alpha)
+    num = 2 * (rs._icoord_mat @ alpha)
+    if np.any(num % norm):
+        raise InternalError("non-integral reflection coefficient")
+    perm = rs._lookup(rs._icoord_mat - np.outer(num // norm, alpha))
+    if np.any(perm < 0):
+        raise InternalError("a reflection maps a root outside the root system")
+    perm = perm.astype(np.int16)
+    perm.setflags(write=False)
+    return perm
 
 
 def build_root_system(spec: TypeSpec | str) -> RootSystem:

@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .roots import InternalError, Root, RootSystem, _close, per_system
+from .roots import InternalError, Root, RootSystem, _close, memoized
 
 
 class GroupElement:
@@ -50,7 +50,7 @@ class GroupElement:
         return f"GroupElement(moves {n} roots of {self.home.type_spec})"
 
 
-@per_system
+@memoized
 def _id_images(rs: RootSystem) -> np.ndarray:
     images = np.arange(len(rs), dtype=np.int16)
     images.setflags(write=False)
@@ -179,7 +179,7 @@ def _chain(scoords: np.ndarray, icoords: np.ndarray) -> StabChain:
     return StabChain(levels)
 
 
-@per_system
+@memoized
 def stab_chain(rs: RootSystem) -> StabChain:
     """The memoized chain of W over the simple roots of rs."""
     return _chain(rs._scoord_mat, rs._icoord_mat)
@@ -223,7 +223,7 @@ def subgroup_order(rs: RootSystem, simple_roots: Sequence[int]) -> int:
     return _chain(scoords, scoords @ chosen).order()
 
 
-def enumerate_group(rs: RootSystem, limit: int | None = None) -> list[GroupElement]:
+def enumerate_group(rs: RootSystem) -> list[GroupElement]:
     """Every element of W by breadth-first closure of the simple reflections.
 
     Brute force on purpose: this is the oracle the fast paths are checked
@@ -242,8 +242,6 @@ def enumerate_group(rs: RootSystem, limit: int | None = None) -> list[GroupEleme
                 if key not in seen:
                     seen[key] = h
                     new.append(h)
-                    if limit is not None and len(seen) > limit:
-                        raise ValueError("group larger than stated limit")
         frontier = new
     return list(seen.values())
 

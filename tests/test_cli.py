@@ -101,6 +101,11 @@ def test_pair_rejects_bad_expression(capsys):
     code, _, err = run_cli(capsys, "pair", "B2", "--expr", "sw(nosuchrep,1)")
     assert code == 2
     assert "unknown representation" in err
+    for expr in ("(t", "sw(cox", "t+", "t^"):
+        code, out, err = run_cli(capsys, "pair", "B2", "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert "$" not in err
 
 
 def test_pair_builds_the_catalogue_once(monkeypatch, capsys):

@@ -460,6 +460,49 @@ def test_total_class_memo_is_per_representation(system):
     assert total_class(short_a1, cube) == CubeClassElement.one(1)
 
 
+def test_the_system_memo_holds_no_representation(system):
+    # restrictions live in the representation's memo, so a representation
+    # dropped after pairing is freed while its system and classes live on
+    import gc
+    import weakref
+    from weylinv import Representation
+    from weylinv.weyl import coxeter_trace
+
+    class WeaklyReferable(Representation):
+        __slots__ = ("__weakref__",)
+
+    rs = system("B3")
+    classes = classify_involutions(rs)
+    cox = WeaklyReferable("cox", rs.rank, rs, coxeter_trace)  # a fresh coxeter_rep
+    for cls in classes:
+        assert pairing(sw(cox, cls.degree), cls) == BasePoly.one()
+        total_class(cox, cls.splitting)
+    alive = weakref.ref(cox)
+    del cox
+    gc.collect()
+    assert alive() is None
+
+
+def test_product_orbits_are_shared_across_representations(monkeypatch):
+    from weylinv import build_root_system
+    from weylinv.involutions import MaskEngine
+    rs = build_root_system("B3")
+    cube = classify_involutions(rs)[-1].splitting
+    calls = []
+    orbit_classes = MaskEngine.orbit_classes
+
+    def counted(engine, rows):
+        calls.append(len(rows))
+        return orbit_classes(engine, rows)
+
+    monkeypatch.setattr(MaskEngine, "orbit_classes", counted)
+    first, second = coxeter_rep(rs), perm_roots_rep(rs)
+    total_class(first, cube)
+    assert calls == [1 << len(cube)]
+    total_class(second, cube)
+    assert calls == [1 << len(cube)]
+
+
 def test_expression_rejects_two_reps_with_one_descriptor(system):
     long_a1, short_a1 = _b3_conj_a1_pair(system("B3"))
     with pytest.raises(ValueError, match="conj"):

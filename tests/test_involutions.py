@@ -12,7 +12,7 @@ from weylinv import (Cube, Involution, build_root_system, classify_cubes,
                      group_order, identity, invert, involution_count,
                      involution_from_cube, simple_reflections, split_involution,
                      stab_chain, verify_reduction)
-from weylinv.roots import RootSystem, per_system
+from weylinv.roots import RootSystem, memoized
 from weylinv.verify import REDUCTION_PAIRS
 
 
@@ -888,7 +888,7 @@ def test_memo_is_per_system(system):
     from weylinv.involutions import _mask_engine
     calls = []
 
-    @per_system
+    @memoized
     def probe(rs):
         calls.append(rs)
         return object()

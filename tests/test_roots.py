@@ -218,13 +218,14 @@ def test_orth_masks_match_inner_products(system, name):
 
 
 def test_group_order_builds_no_positive_root_tables():
+    from weylinv.roots import _reflection_perm
     rs = build_root_system("A30")
     assert group_order(rs) == math.factorial(31)
     # the P x P tables are built on first use, and the group order uses
     # neither, nor any reflection permutation
     assert "cartan_table" not in rs.__dict__
     assert "orth_masks" not in rs.__dict__
-    assert rs._refl_cache == {}
+    assert not [key for key in rs._memo if key[0] is _reflection_perm.__wrapped__]
 
 
 def test_roots_are_built_on_first_read():
