@@ -12,7 +12,7 @@ halves of the half-subset action separate it.
 """
 
 from weylinv import build_root_system, classify_involutions, default_catalogue
-from weylinv.verify import hard_case_reports
+from weylinv.reps import hard_case_reports
 
 for name in ("D6", "E7"):
     rs = build_root_system(name)

@@ -3,30 +3,27 @@
 Output is deterministic (fixed ordering, no timestamps); identical
 invocations produce byte-identical output.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 internal invariant violation.
+
+Each subcommand imports the modules it calls, and only those: a process
+runs one command, and a module it does not import it need not compile or run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from .roots import InternalError, build_root_system, find_subsystem
-from .weyl import group_order
-from .involutions import classify_cubes, classify_involutions, verify_reduction
-from .invariants import (InvariantExpr, canonical_basis, expand, sw,
-                         sw_separation_report)
-from .reps import GapBudget, base_catalogue, default_catalogue
-from .verify import REDUCTION_PAIRS, hard_case_reports, run_acceptance
+
+if TYPE_CHECKING:
+    from .invariants import InvariantExpr
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-_REDUCTION_TARGETS = {amb: sub for amb, sub, _ in REDUCTION_PAIRS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,6 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
     if args.csv:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -76,6 +75,8 @@ def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _emit_json(data) -> None:
+    import json
+
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
@@ -102,6 +103,8 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
 
     `aliases` maps the names usable in sw(...) to representations.
     """
+    from .invariants import InvariantExpr, sw
+
     tokens = []
     pos = 0
     while pos < len(text):
@@ -206,6 +209,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .weyl import group_order
+
     rs = build_root_system(args.type)
     order = group_order(rs)
     if args.json:
@@ -216,6 +221,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_involutions(args) -> int:
+    from .involutions import classify_involutions
+
     rs = build_root_system(args.type)
     classes = classify_involutions(rs)
     if args.json:
@@ -235,6 +242,8 @@ def cmd_involutions(args) -> int:
 
 
 def cmd_cubes(args) -> int:
+    from .involutions import classify_cubes
+
     rs = build_root_system(args.type)
     cube_classes = classify_cubes(rs)
     if args.json:
@@ -253,6 +262,9 @@ def cmd_cubes(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    from .involutions import classify_involutions
+    from .invariants import canonical_basis
+
     rs = build_root_system(args.type)
     classes = classify_involutions(rs)
     basis = canonical_basis(classes)
@@ -266,6 +278,10 @@ def cmd_basis(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    from .involutions import classify_involutions
+    from .invariants import expand, sw, sw_separation_report
+    from .reps import GapBudget, base_catalogue, default_catalogue
+
     rs = build_root_system(args.type)
     classes = classify_involutions(rs)
     budget = GapBudget(max_exterior=args.budget)
@@ -296,8 +312,11 @@ def cmd_pair(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .involutions import REDUCTION_PAIRS, verify_reduction
+
     rs = build_root_system(args.type)
-    target = args.target or _REDUCTION_TARGETS.get(str(rs.type_spec))
+    targets = {amb: sub for amb, sub, _ in REDUCTION_PAIRS}
+    target = args.target or targets.get(str(rs.type_spec))
     if target is None:
         raise ValueError(
             f"no built-in reduction for {rs.type_spec}; pass --target")
@@ -317,6 +336,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    from .involutions import classify_involutions
+    from .reps import GapBudget, base_catalogue, default_catalogue, hard_case_reports
+
     rs = build_root_system(args.type)
     classes = classify_involutions(rs)
     budget = GapBudget(max_exterior=args.budget)
@@ -339,6 +361,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_acceptance
+
     tier = "fast" if args.fast else ("full" if args.full else "default")
     results = run_acceptance(tier)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED

@@ -200,8 +200,13 @@ class MaskEngine:
         """For the orbit of each given row, how many of its masks lie inside
         the mask within."""
         outside = ~self.rows([within])[0]
-        return np.array([np.count_nonzero(~(orbit.rows & outside).any(axis=1))
-                         for orbit in self._locate(rows)], dtype=int)
+        counts = []
+        for orbit in self._locate(rows):
+            inside = np.ones(len(orbit.rows), dtype=bool)
+            for words, out in zip(orbit.rows.T, outside):  # no copy of all the rows
+                inside &= (words & out) == 0
+            counts.append(np.count_nonzero(inside))
+        return np.array(counts, dtype=int)
 
     def _locate(self, rows: np.ndarray) -> list[_Orbit]:
         """The stored orbit of each given row.  The number of bits set, which
@@ -423,6 +428,23 @@ def _clique_masks(rs: RootSystem, within: int | None = None) -> Iterator[int]:
     yield from rec(0, within)
 
 
+def _clique_count(rs: RootSystem, within: int) -> int:
+    """How many masks _clique_masks(rs, within) yields, counted without
+    building them; like it, independent of the orbit engine it checks."""
+    orth = rs.orth_masks
+
+    def rec(cand: int) -> int:
+        n = 1
+        m = cand
+        while m:
+            low = m & -m
+            m ^= low
+            n += rec(cand & orth[low.bit_length() - 1] & -(low << 1))
+        return n
+
+    return rec(within)
+
+
 def _mask_bits(mask: int) -> list[int]:
     bits = []
     while mask:
@@ -572,6 +594,16 @@ def classify_cubes(rs: RootSystem) -> list[CubeClass]:
 # -- odd-index reductions ----------------------------------------------------
 
 
+# (ambient, subsystem, index): the five odd-index reductions of the paper
+REDUCTION_PAIRS = (
+    ("E6", "D5", 27),
+    ("E7", "A1xD6", 63),
+    ("E8", "D8", 135),
+    ("F4", "B4", 3),
+    ("G2", "A1xA1", 3),
+)
+
+
 @dataclass(frozen=True)
 class ReductionReport:
     """Outcome of checking a subgroup reduction: index parity + cube coverage."""
@@ -611,7 +643,7 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
     inside = engine.count_inside(engine.rows([c.representative.mask for c in classes]), within)
     # The classes' orbits are disjoint sets of cubes, so the cubes inside the
     # subsystem are some of its cliques; as many as there are cliques means all.
-    if int(inside.sum()) != sum(1 for _ in _clique_masks(rs, within)):
+    if int(inside.sum()) != _clique_count(rs, within):
         raise InternalError(
             "a cube of the subsystem is in no cube class; enumeration is incomplete")
     rows = tuple((c.rank, c.size, bool(n)) for c, n in zip(classes, inside.tolist()))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
 
@@ -180,8 +181,6 @@ def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representati
     that of the action composed with the complement map (twisted) the signs
     of those g sends to their complements.
     """
-    from itertools import combinations
-
     if len(rs.type_spec.factors) != 1 or rs.type_spec.factors[0][0] != "D" \
             or rs.type_spec.factors[0][1] % 2:
         raise ValueError("half-subset split representations need a single D_{2m} factor")
@@ -347,3 +346,23 @@ def search_gap(rs: RootSystem, cls_a: InvolutionClass, cls_b: InvolutionClass,
         hits=tuple(hits),
         catalogue_size=len(catalogue),
     )
+
+
+# the degrees whose same-degree class pairs the paper singles out, per type
+HARD_CASE_DEGREES = {"D6": (3,), "E7": (3, 4), "E8": (4,)}
+
+
+def hard_case_reports(classes: list[InvolutionClass],
+                      catalogue: list[Representation]) -> list[GapFindings]:
+    """The built-in hard pairs of one classified type, with their gap findings."""
+    rs = classes[0].home
+    degrees = HARD_CASE_DEGREES.get(
+        str(rs.type_spec),
+        tuple(sorted({c.degree for c in classes
+                      if sum(1 for d in classes if d.degree == c.degree) > 1})))
+    reports = []
+    for degree in degrees:
+        group = [c for c in classes if c.degree == degree]
+        for a, b in combinations(group, 2):
+            reports.append(search_gap(rs, a, b, catalogue=catalogue))
+    return reports

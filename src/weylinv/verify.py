@@ -12,7 +12,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -21,26 +20,17 @@ from .roots import RootSystem, build_root_system, find_subsystem
 from .weyl import (GroupElement, compose, coxeter_trace, element_matrix,
                    enumerate_group, identity, invert, orbit_partition,
                    simple_reflections)
-from .involutions import (Cube, Involution, InvolutionClass,
+from .involutions import (REDUCTION_PAIRS, Cube, Involution, InvolutionClass,
                           classify_involutions, enumerate_cubes,
                           involution_from_cube, split_involution,
                           verify_reduction)
 from .invariants import (BasePoly, CubeClassElement, InvariantExpr,
                          canonical_basis, pairing, restrict_to_cube, sw,
                          top_coefficient, total_class)
-from .reps import (GapBudget, GapFindings, Representation, coxeter_rep,
-                   default_catalogue, direct_sum, exterior_cox_rep,
-                   perm_roots_rep, search_gap, sign_rep, trivial_rep)
-
-REDUCTION_PAIRS = (
-    ("E6", "D5", 27),
-    ("E7", "A1xD6", 63),
-    ("E8", "D8", 135),
-    ("F4", "B4", 3),
-    ("G2", "A1xA1", 3),
-)
-
-HARD_CASE_DEGREES = {"D6": (3,), "E7": (3, 4), "E8": (4,)}
+# HARD_CASE_DEGREES is not used here; callers read it as verify.HARD_CASE_DEGREES
+from .reps import (HARD_CASE_DEGREES, GapBudget, coxeter_rep, default_catalogue,
+                   direct_sum, exterior_cox_rep, hard_case_reports,
+                   perm_roots_rep, sign_rep, trivial_rep)
 
 ORACLE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "F4",
                 "G2", "A1xA1", "A1xA2")
@@ -280,22 +270,6 @@ def check_oracle_equivalence(full: bool = True) -> tuple[bool, str]:
             bad.append(name)
     return not bad, ("all censuses match" if not bad else
                      "mismatch: " + ", ".join(bad))
-
-
-def hard_case_reports(classes: list[InvolutionClass],
-                      catalogue: list[Representation]) -> list[GapFindings]:
-    """The built-in hard pairs of one classified type, with their gap findings."""
-    rs = classes[0].home
-    degrees = HARD_CASE_DEGREES.get(
-        str(rs.type_spec),
-        tuple(sorted({c.degree for c in classes
-                      if sum(1 for d in classes if d.degree == c.degree) > 1})))
-    reports = []
-    for degree in degrees:
-        group = [c for c in classes if c.degree == degree]
-        for a, b in combinations(group, 2):
-            reports.append(search_gap(rs, a, b, catalogue=catalogue))
-    return reports
 
 
 def check_hard_cases(full: bool = True) -> tuple[bool, str]:

@@ -109,7 +109,7 @@ def test_pair_rejects_bad_expression(capsys):
 
 
 def test_pair_builds_the_catalogue_once(monkeypatch, capsys):
-    from weylinv import cli, reps
+    from weylinv import reps
     calls = []
 
     def counted(*args, **kwargs):
@@ -117,8 +117,7 @@ def test_pair_builds_the_catalogue_once(monkeypatch, capsys):
         return build(*args, **kwargs)
 
     build = reps.base_catalogue
-    monkeypatch.setattr(reps, "base_catalogue", counted)
-    monkeypatch.setattr(cli, "base_catalogue", counted)
+    monkeypatch.setattr(reps, "base_catalogue", counted)  # cmd_pair imports it per call
     code, _, _ = run_cli(capsys, "pair", "D4",
                          "--expr", "sw(cox,1)", "--expr", "sw(cox,2)")
     assert code == 0

@@ -559,6 +559,33 @@ def test_reduction_counts_each_class_inside_the_subsystem():
     assert sum(counts.tolist()) == len(inside)
 
 
+@pytest.mark.parametrize("amb,sub", [("E6", "D5"), ("E7", "A1xD6"), ("F4", "B4"),
+                                     ("G2", "A1xA1"), ("E8", "D8")])  # E8: two words
+def test_count_inside_matches_a_loop_over_the_orbit_masks(system, amb, sub):
+    from weylinv.involutions import _mask_engine
+    rs = system(amb)
+    within = find_subsystem(rs, sub).positive_closure_mask()
+    engine = _mask_engine(rs)
+    masks = [c.representative.mask for c in classify_cubes(rs)]
+    counts = engine.count_inside(engine.rows(masks), within)
+    width = 8 * engine.nwords  # bytes per mask
+
+    def inside(mask):
+        data = engine.orbit_rows(mask).tobytes()
+        return sum(int.from_bytes(data[i:i + width], "little") & ~within == 0
+                   for i in range(0, len(data), width))
+
+    assert counts.tolist() == [inside(mask) for mask in masks]
+
+
+@pytest.mark.parametrize("amb,sub", [(amb, sub) for amb, sub, _ in REDUCTION_PAIRS])
+def test_clique_count_matches_the_clique_masks(system, amb, sub):
+    from weylinv.involutions import _clique_count, _clique_masks
+    rs = system(amb)
+    within = find_subsystem(rs, sub).positive_closure_mask()
+    assert _clique_count(rs, within) == len(list(_clique_masks(rs, within)))
+
+
 def test_engine_rejects_key_collision(monkeypatch):
     from weylinv import InternalError, conj_subsystem_rep
     from weylinv import involutions
