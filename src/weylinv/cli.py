@@ -1,8 +1,9 @@
 """Command-line front end: compute, display and verify everything.
 
 Output is deterministic (fixed ordering, no timestamps); identical
-invocations produce byte-identical output.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 internal invariant violation.
+invocations produce byte-identical output, except that `verify` prints the
+seconds each criterion took.  Exit codes: 0 success, 1 verification
+failure, 2 usage error, 3 internal invariant violation.
 
 Each subcommand imports the modules it calls, and only those: a process
 runs one command, and a module it does not import it need not compile or run.

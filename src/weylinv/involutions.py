@@ -13,33 +13,33 @@ acts through per-byte lookup tables (the image of a row is the sum of one
 table entry per byte), and so does a 64-bit key per mask, the wrapping sum
 of fixed-seed keys of its bits; one fused table yields the image row and its
 key under any simple reflection, so only the images kept are gathered.  The
-orbits of some masks are one labelled breadth-first search.  Each new mask
-records some of the reflections that lead back to the level before: the one
-that made it and those its source recorded that commute with that one.  Its
+orbit of a mask is one breadth-first search from it.  Each new mask records
+some of the reflections that lead back to the level before: the one that
+made it and those its source recorded that commute with that one.  Its
 images under them are skipped, and so is its image under s_g when it records
 an s_h with h < g that commutes with s_g: that image closes a commuting
 square whose other three edges the search took earlier (the commutation
-rule of Cartier and Foata, LNM 85, 1969), so it joins no new seeds, and no
-mask is missed.  A row need not record every reflection back, and its image
+rule of Cartier and Foata, LNM 85, 1969), so the search reaches it another
+way, and no mask is missed.  A mask need not record every reflection back, and its image
 under one it did not record may be kept; that image lies in the level
 before, so kept images are looked up by key in the current level and that
 one.  Every key match and every repeated key is compared row by row, and a
 last pass checks that keys are distinct across the whole search, so two
-masks sharing a key raise InternalError instead of merging two orbits.  A
-union-find over the seeds labels the orbits, and the finished search is cut
-into its orbits.  Callers get each orbit's size and least mask, the class of
-each given mask (restriction to a cube asks it of the cube's products) and
-counts of an orbit's masks inside a given mask; only a permutation
-representation reads one orbit's rows.
+masks sharing a key raise InternalError instead of yielding a wrong orbit.
+Callers get each orbit's size and least mask, the class of each given mask
+(restriction to a cube asks it of the cube's products) and counts of an
+orbit's masks inside a given mask; only a permutation representation reads
+one orbit's rows.
 
-The engine of a root system stores every orbit it found, read-only, and
-searches only the given masks found in none.  The number of bits set, which
-conjugation keeps, rules out most stored orbits; in the rest a mask is
-looked up by key (an orbit's rows are sorted by key), and every key match
-is compared row by row.  So low-rank cubes and small subsystems' orbits are
-read off the involution layers: a degree-k involution is the product of the
-reflections in k orthogonal roots (Carter, Compositio Math. 25 (1972),
-Lemma 5), so if its (-1)-eigenspace holds no other root, its mask is a cube.
+The engine of a root system stores every orbit it found, read-only, one
+orbit per search, and searches from a given mask only if no stored orbit
+holds it.  The number of bits set, which conjugation keeps, rules out most
+stored orbits; in the rest a mask is looked up by key (an orbit's rows are
+sorted by key), and every key match is compared row by row.  So low-rank
+cubes and small subsystems' orbits are read off the involution layers: a
+degree-k involution is the product of the reflections in k orthogonal roots
+(Carter, Compositio Math. 25 (1972), Lemma 5), so if its (-1)-eigenspace
+holds no other root, its mask is a cube.
 
 Involutions and cubes are never walked one by one.  Each degree layer of
 involutions is the orbit of every class representative of the degree below
@@ -212,8 +212,8 @@ class MaskEngine:
         """The stored orbit of each given row.  The number of bits set, which
         conjugation keeps, skips the stored orbits of masks of another size;
         in the rest a row is looked up by key and every key match is compared
-        row by row.  The given rows found in none are searched together, the
-        orbits found are stored, and those rows are looked up in them."""
+        row by row.  While some given row is found in none, the orbit of the
+        first such row is searched, stored, and the rest are looked up in it."""
         keys = self.keys(rows)
         nbits = np.unpackbits(self._bytes(rows), axis=1).sum(axis=1)
         sized = {n: np.flatnonzero(nbits == n) for n in set(nbits.tolist())}
@@ -232,79 +232,66 @@ class MaskEngine:
             if not len(miss):
                 return [self._stored[s] for s in where.tolist()]
             looked = len(self._stored)
-            self._stored += self._search(rows[miss], keys[miss])
+            self._stored.append(self._search(rows[miss[0]], keys[miss[0]]))
 
-    def _search(self, rows: np.ndarray, keys: np.ndarray) -> list[_Orbit]:
-        """The orbits of the given rows, none of them stored, whose keys are
-        given.
+    def _search(self, row: np.ndarray, key: np.uint64) -> _Orbit:
+        """The orbit of the given row, not stored, whose key is given.
 
-        Level d holds the masks d reflections from the nearest seed; a parent
-        of a row x in level d is a reflection s with s x in level d-1.  Each
-        row records some of its parents: the reflection that made it, and
-        those recorded for the row it was made from that commute with that
+        Level d holds the masks d reflections from the row; a parent of a
+        mask x in level d is a reflection s with s x in level d-1.  Each mask
+        records some of its parents: the reflection that made it, and those
+        recorded for the mask it was made from that commute with that
         reflection (if u = s_p v and s_h s_p = s_p s_h, then s_p s_h u = s_h v
         lies one level below s_h u), ORed over repeated images.  The image of
         x under s_g is skipped when x records s_g, or records s_h with h < g
         commuting with s_g: then s_g x = s_h s_g (s_h x) closes a commuting
         square whose other three edges come earlier in the order (level,
-        reflection), so by induction the seeds it would join are joined
-        already (the commutation rule of Cartier and Foata, Problemes
-        combinatoires de commutation et rearrangements, LNM 85, 1969).  The
-        least parent of a row is never skipped, so every row is found at its
-        distance.  A row need not record every parent, and under some orders
-        of the simple reflections its image under one it did not record is
-        kept (in A4, orders (1, 3, 0, 2) and (2, 0, 3, 1): 60 of the 1,023
-        single-seed searches each).  That image lies in level d-1, so the kept
-        images are looked up in level d and in level d-1; without the second
-        lookup the search would run past the longest element.  What is left,
-        made distinct, is level d+1.  A label is the least seed joined to the
-        row's seed where two met; the rows of one label are one orbit, its
-        rows sorted by key."""
-        images = np.hstack([rows, keys[:, None]])
-        root = np.arange(len(rows))
-        seeds = root.astype(np.min_scalar_type(len(rows)))  # labels take the least dtype
-        parents = np.zeros((len(rows), self._single.shape[1]), dtype=np.uint8)  # none for a seed
-        levels: list = []  # (rows, keys, seeds) of each level
+        reflection), so by induction the search reaches it another way (the
+        commutation rule of Cartier and Foata, Problemes combinatoires de
+        commutation et rearrangements, LNM 85, 1969).  The least parent of a
+        mask is never skipped, so every mask is found at its distance.  A
+        mask need not record every parent, and under some orders of the
+        simple reflections its image under one it did not record is kept (in
+        A4, orders (1, 3, 0, 2) and (2, 0, 3, 1): 60 of the 1,023 searches
+        each).  That image lies in level d-1, so the kept images are looked
+        up in level d and in level d-1; without the second lookup the search
+        would run past the longest element.  What is left, made distinct, is
+        level d+1.  The orbit's rows are sorted by key."""
+        images = np.append(row, key)[None]
+        parents = np.zeros((1, self._single.shape[1]), dtype=np.uint8)  # none for the row
+        levels: list = []  # (rows, keys) of each level
         while len(images):
             order = np.argsort(images[:, -1])
             keys = images[order, -1]
-            for level_rows, level_keys, level_seeds in levels[:-3:-1]:  # levels d, d-1
+            for level_rows, level_keys in levels[:-3:-1]:  # levels d, d-1
                 pos = np.minimum(np.searchsorted(level_keys, keys), len(level_keys) - 1)
                 hit = level_keys[pos] == keys
                 _no_collision(np.array_equal(level_rows[pos[hit]], images[order[hit], :-1]))
-                root = _join(root, seeds[order[hit]], level_seeds[pos[hit]])
                 order, keys = order[~hit], keys[~hit]
             if not len(keys):
                 break
-            images, seeds, parents = images[order, :-1], seeds[order], parents[order]
+            images, parents = images[order, :-1], parents[order]
             again = keys[1:] == keys[:-1]
             _no_collision(np.array_equal(images[1:][again], images[:-1][again]))
-            root = _join(root, seeds[1:][again], seeds[:-1][again])
             if len(levels) > self.nbits:  # no reduced word is longer
                 raise InternalError("orbit search went past the longest element")
             first = np.flatnonzero(np.r_[True, ~again])
-            level = images[first], keys[first], seeds[first]
+            level = images[first], keys[first]
             levels.append(level)
             parents = np.bitwise_or.reduceat(parents, first, axis=0)
             skips = reduce(np.bitwise_or, (t[p] for t, p in zip(self._skips, parents.T)))
             at, gens = np.unpackbits(~skips, axis=1, count=self.ngens, bitorder="little").nonzero()
             images = self.images(level[0], at, gens)
-            seeds = level[2][at]
             parents = parents[at] & self._commuting[gens] | self._single[gens]
-        parts, keys, seeds = zip(*levels)
+        parts, keys = zip(*levels)
         levels.clear()
-        keys = np.concatenate(keys)
-        labels = root.astype(seeds[0].dtype)[np.concatenate(seeds)]
         # The end of the largest search is the peak of a classification, so
         # the permutation takes the least dtype, each temporary goes as soon
         # as it is used, and each level's rows go straight to their places.
+        keys = np.concatenate(keys)
         order = np.argsort(keys).astype(np.min_scalar_type(len(keys)))
         keys = keys[order]
         _no_collision(np.all(keys[1:] != keys[:-1]))  # distinct across the search
-        by_label = np.argsort(labels[order], kind="stable")
-        keys, order = keys[by_label], order[by_label]
-        del by_label
-        labels = labels[order]
         place = np.empty_like(order)
         place[order] = np.arange(len(order), dtype=order.dtype)
         del order
@@ -315,17 +302,13 @@ class MaskEngine:
         del parts
         for part in rows, keys:
             part.flags.writeable = False
-        cuts = np.flatnonzero(np.diff(labels)) + 1
-        orbits = []
-        for orbit_rows, orbit_keys in zip(np.split(rows, cuts), np.split(keys, cuts)):
-            least = self.least_mask(orbit_rows)
-            orbits.append(_Orbit(orbit_rows, orbit_keys, least, least.bit_count()))
-        return orbits
+        least = self.least_mask(rows)
+        return _Orbit(rows, keys, least, least.bit_count())
 
 
-# One stored orbit: its rows sorted by key and their keys, read-only views of
-# the arrays of the search that found it; its least mask; the number of bits
-# its masks set.
+# One stored orbit: its rows sorted by key and their keys, the read-only
+# arrays of the search that found it; its least mask; the number of bits its
+# masks set.
 _Orbit = namedtuple("_Orbit", "rows keys least nbits")
 
 
@@ -338,16 +321,6 @@ def _mask_engine(rs: RootSystem) -> MaskEngine:
 def _no_collision(ok: bool) -> None:
     if not ok:
         raise InternalError("two masks share a 64-bit key (a key collision)")
-
-
-def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Join seeds a[i] and b[i]; root maps each seed to the least seed joined to it."""
-    a, b, n = root[a], root[b], len(root)
-    root = root.copy()
-    for pair in set((a * n + b)[a != b].tolist()):
-        low, high = sorted((root[pair // n], root[pair % n]))
-        root[root == high] = low
-    return root
 
 
 # -- cubes ------------------------------------------------------------------

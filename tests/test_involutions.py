@@ -456,7 +456,7 @@ def record_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", RANK_LE_4 + ["A1xA2", "E6"])
-def test_engine_orbit_labels_match_orbit_partition(monkeypatch, name):
+def test_engine_orbits_match_orbit_partition(monkeypatch, name):
     from weylinv import orbit_partition
     from weylinv.involutions import MaskEngine
     rs = build_root_system(name)
@@ -472,13 +472,14 @@ def test_engine_orbit_labels_match_orbit_partition(monkeypatch, name):
     rng.shuffle(seeds)
     engine = MaskEngine(rs)
     searches = record_calls(monkeypatch, "_search")
-    # one search of every seed: the labels must join exactly each orbit's seeds
+    # one search per orbit, each from one of the given masks
     assert engine.classes(engine.rows([mask for _, mask in seeds])) == \
         sorted((len(orbit), min(orbit)) for orbit in oracle)
-    assert len(searches) == 1
+    assert len(searches) == len(oracle)
+    assert {engine.mask(row) for row, _ in searches} <= {mask for _, mask in seeds}
     for i, mask in seeds:
         assert sorted(engine.mask(row) for row in engine.orbit_rows(mask)) == sorted(oracle[i])
-    assert len(searches) == 1
+    assert len(searches) == len(oracle)
 
 
 def oracle_levels(actions, seeds):
@@ -511,19 +512,27 @@ def test_engine_levels_are_distances_from_the_seeds(monkeypatch, name):
     seeds += rng.sample(seeds, len(seeds) // 3)  # and masks seeded twice
     rng.shuffle(seeds)
     engine = MaskEngine(rs)
-    searches, images = record_calls(monkeypatch, "_search"), record_calls(monkeypatch, "images")
+    images, searched, search = record_calls(monkeypatch, "images"), [], MaskEngine._search
+
+    def recorded(self, row, key):  # each search's seed and the levels it made
+        start = len(images)
+        orbit = search(self, row, key)
+        searched.append((self.mask(row), images[start:]))
+        return orbit
+    monkeypatch.setattr(MaskEngine, "_search", recorded)
     engine.classes(engine.rows(seeds))
-    assert len(searches) == 1
-    distance = oracle_levels(actions, seeds)
-    levels = [sorted(engine.mask(row) for row in rows) for rows, _, _ in images]
-    assert levels == [sorted(m for m, d in distance.items() if d == level)
-                      for level in range(max(distance.values()) + 1)]
-    # a label is the first place of a seed of the row's orbit in the given
-    # seeds, and the orbits are stored in the order of their labels
+    for seed, calls in searched:
+        distance = oracle_levels(actions, [seed])
+        levels = [sorted(engine.mask(row) for row in rows) for rows, _, _ in calls]
+        assert levels == [sorted(m for m, d in distance.items() if d == level)
+                          for level in range(max(distance.values()) + 1)]
+    # each orbit is searched from its first seed among the given ones, and
+    # the orbits are stored in the order of those seeds
     orbit_of = {m: i for i, orbit in enumerate(orbits) for m in orbit}
     first_seed = {}
     for place, mask in enumerate(seeds):
         first_seed.setdefault(orbit_of[mask], place)
+    assert [seed for seed, _ in searched] == [seeds[p] for p in sorted(first_seed.values())]
     assert [sorted(engine.mask(row) for row in orbit.rows) for orbit in engine._stored] == \
         [sorted(orbits[i]) for i in sorted(first_seed, key=first_seed.get)]
     for orbit in engine._stored:  # each orbit's rows sorted by key
@@ -613,8 +622,12 @@ def test_engine_rejects_key_collision_across_levels(monkeypatch):
     keys[far] = keys[0]  # levels 0 and 3 share a key; no lookup compares them
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
     engine = MaskEngine(rs)
+    seed = engine.rows([0b1])
+    # the search itself raises, not only a later lookup in the orbit it found
     with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.classes(engine.rows([0b1]))
+        engine._search(seed[0], engine.keys(seed)[0])
+    with pytest.raises(InternalError, match="share a 64-bit key"):
+        engine.classes(seed)
 
 
 def test_engine_rejects_key_collision_with_the_current_level(monkeypatch):
@@ -658,28 +671,26 @@ def test_engine_rejects_key_collision_across_orbits_of_one_search(monkeypatch):
     full = (1 << rs.n_positive) - 1
     (a1,) = [i for i in range(rs.n_positive) if rs.orth_masks[i] | 1 << i == full]
     assert a1 != 0  # root 0 is A4's
-    keys = involutions._bit_keys(rs.n_positive)
+    P = rs.n_positive
+    shared = [x for x in range(P) if x != a1 and rs.orth_masks[0] >> x & 1]
+    (u, v), *_ = [(u, v) for u in range(1, P) for v in range(u + 1, P)
+                  if a1 not in (u, v) and rs.orth_masks[u] >> v & 1]
+    seeds = [1 << a1 | 0b1, 1 << u | 1 << v]  # {a1, 0} and orthogonal roots of A4
+    engine = MaskEngine(rs)
+    classes = engine.classes(engine.rows(seeds))
+    keys = involutions._bit_keys(P)
     keys[0] = keys[a1]  # so {a1, x} and {0, x} share a key for every root x
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
-    # One orbit is {a1, x} for the roots x of A4, seeded at {a1, 0}; the other
-    # the pairs of orthogonal roots of A4, seeded at a pair without 0 from
-    # which each {0, x} lies three or more levels from {a1, x} (a new image
-    # is looked up in the two levels below its own).  No seed shares a key,
-    # and no lookup compares two masks that do: only the check that keys are
-    # distinct across the whole search sees the two orbits collide.
-    P, actions = rs.n_positive, python_mask_actions(rs)
-    one = oracle_levels(actions, [1 << a1 | 0b1])
-    shared = [x for x in range(P) if x != a1 and rs.orth_masks[0] >> x & 1]
-
-    def apart(seed):
-        two = oracle_levels(actions, [seed])
-        return all(abs(one[1 << a1 | 1 << x] - two[0b1 | 1 << x]) >= 3 for x in shared)
-    seeds = [1 << u | 1 << v for u in range(1, P) for v in range(u + 1, P)
-             if a1 not in (u, v) and rs.orth_masks[u] >> v & 1 and apart(1 << u | 1 << v)]
-    assert seeds
+    # One orbit is {a1, x} for the roots x of A4, the other the pairs of
+    # orthogonal roots of A4.  Each search finds no two masks sharing a key,
+    # so a collision never yields a wrong table; a mask {a1, x} looked up
+    # once both orbits are stored meets {0, x} in the other and raises.
     engine = MaskEngine(rs)
-    with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.classes(engine.rows([1 << a1 | 0b1, seeds[0]]))
+    assert engine.classes(engine.rows(seeds)) == classes
+    assert len(engine._stored) == 2
+    for x in shared:
+        with pytest.raises(InternalError, match="share a 64-bit key"):
+            engine.classes(engine.rows([1 << a1 | 1 << x]))
 
 
 def test_engine_looks_a_kept_image_up_in_the_level_below(monkeypatch):
@@ -738,7 +749,7 @@ def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
 
     def counted(self, *args):
         found = search(self, *args)
-        searched.append(sum(len(orbit.rows) for orbit in found))
+        searched.append(len(found.rows))
         return found
     monkeypatch.setattr(MaskEngine, "_search", counted)
     rs = build_root_system("E7")
@@ -754,6 +765,28 @@ def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
     engine = _mask_engine(rs)
     rows = engine.orbit_rows(find_subsystem(rs, "A1").positive_closure_mask())
     assert any(rows is orbit.rows for orbit in engine._stored)
+
+
+# (searches, rows searched) of classify_involutions then classify_cubes: one
+# search per involution class, and one per cube class not read off them
+SEARCHES = {"E7": ((10, 10_208), (4, 4_860)), "E8": ((10, 199_952), (5, 197_775))}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_each_search_stores_one_orbit(monkeypatch, name):
+    from weylinv.involutions import _mask_engine
+    searches = record_calls(monkeypatch, "_search")
+    rs = build_root_system(name)
+    engine, counts = _mask_engine(rs), []
+    for classify in classify_involutions, classify_cubes:
+        called, stored = len(searches), len(engine._stored)
+        classify(rs)
+        counts.append((len(searches) - called,
+                       sum(len(orbit.rows) for orbit in engine._stored[stored:])))
+    assert len(searches) == len(engine._stored)
+    assert tuple(counts) == SEARCHES[name]
+    rows = np.concatenate([orbit.rows for orbit in engine._stored])
+    assert len(np.unique(rows, axis=0)) == len(rows)  # the orbits are disjoint
 
 
 @pytest.mark.parametrize("name", ["D6", "E7", "E8"])
