@@ -7,6 +7,8 @@ failure, 2 usage error, 3 internal invariant violation.
 
 Each subcommand imports the modules it calls, and only those: a process
 runs one command, and a module it does not import it need not compile or run.
+A subcommand returns what it found as an `Output`; `render` alone decides
+between --json, --csv and the plain table.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .roots import InternalError, build_root_system, find_subsystem
 
@@ -58,27 +60,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
+class Output(NamedTuple):
+    """A command's result: a table, its JSON document and closing notes.
+
+    Only --json calls `payload`; CSV and plain text read `rows`, which may
+    be lazy, and then print `notes`.  With `line`, plain text is one line
+    per row as it arrives, not an aligned table.  `status` gives the exit
+    code once the output is printed.
+    """
+
+    header: list[str]
+    rows: Iterable[Sequence]
+    payload: Callable[[], object]
+    notes: Sequence[str] = ()
+    line: Callable[[Sequence], str] | None = None
+    status: Callable[[], int] = lambda: EXIT_OK
+
+
+def render(args, out: Output) -> int:
+    """Print `out` in the one format the global options ask for."""
+    if args.json:
+        import json
+
+        print(json.dumps(out.payload(), indent=2, sort_keys=True))
+        return out.status()
     if args.csv:
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
-              else len(header[i]) for i in range(len(header))]
-    line = "  ".join(h.ljust(w) for h, w in zip(header, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-
-
-def _emit_json(data) -> None:
-    import json
-
-    print(json.dumps(data, indent=2, sort_keys=True))
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
+    elif out.line:
+        for row in out.rows:
+            print(out.line(row))
+    else:
+        table = [out.header, *out.rows]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table]
+        lines.insert(1, "-" * len(lines[0]))
+        print("\n".join(lines))
+    for note in out.notes:
+        print(note)
+    return out.status()
 
 
 # -- the expression mini-language ---------------------------------------------
@@ -188,7 +211,10 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
             return InvariantExpr.one(rs) if value else InvariantExpr.zero(rs)
         raise ValueError(f"unexpected token {tok!r}")
 
-    out = parse_sum()
+    try:
+        out = parse_sum()
+    except RecursionError:
+        raise ValueError("expression nests too deeply") from None
     if peek() is not None:
         raise ValueError(f"unexpected token {peek()!r}")
     return out
@@ -197,88 +223,73 @@ def parse_expression(text: str, rs, aliases: dict) -> InvariantExpr:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> Output:
     rs = build_root_system(args.type)
-    if args.json:
-        _emit_json(rs.to_json_dict())
-        return EXIT_OK
-    lengths = sorted({str(r.norm2) for r in rs.roots})
-    _emit_table(args, ["type", "rank", "roots", "positive", "lengths^2"],
-                [[str(rs.type_spec), str(rs.rank), str(len(rs.roots)),
-                  str(rs.n_positive), ",".join(lengths)]])
-    return EXIT_OK
+
+    def rows():  # the Root objects are built for a table only
+        lengths = sorted({str(r.norm2) for r in rs.roots})
+        yield [str(rs.type_spec), str(rs.rank), str(len(rs.roots)),
+               str(rs.n_positive), ",".join(lengths)]
+
+    return Output(["type", "rank", "roots", "positive", "lengths^2"], rows(),
+                  rs.to_json_dict)
 
 
-def cmd_order(args) -> int:
+def cmd_order(args) -> Output:
     from .weyl import group_order
 
     rs = build_root_system(args.type)
     order = group_order(rs)
-    if args.json:
-        _emit_json({"type": str(rs.type_spec), "order": order})
-    else:
-        _emit_table(args, ["type", "order"], [[str(rs.type_spec), str(order)]])
-    return EXIT_OK
+    return Output(["type", "order"], [[str(rs.type_spec), str(order)]],
+                  lambda: {"type": str(rs.type_spec), "order": order})
 
 
-def cmd_involutions(args) -> int:
+def cmd_involutions(args) -> Output:
     from .involutions import classify_involutions
 
     rs = build_root_system(args.type)
     classes = classify_involutions(rs)
-    if args.json:
-        _emit_json({
-            "type": str(rs.type_spec),
-            "classes": [
-                {"id": c.class_id, "degree": c.degree, "size": c.size,
-                 "splitting_roots": list(c.splitting.roots)}
-                for c in classes],
-            "involution_count": sum(c.size for c in classes),
-        })
-        return EXIT_OK
     rows = [[c.class_id, str(c.degree), str(c.size),
              " ".join(map(str, c.splitting.roots))] for c in classes]
-    _emit_table(args, ["class", "degree", "size", "splitting"], rows)
-    return EXIT_OK
+    return Output(["class", "degree", "size", "splitting"], rows, lambda: {
+        "type": str(rs.type_spec),
+        "classes": [
+            {"id": c.class_id, "degree": c.degree, "size": c.size,
+             "splitting_roots": list(c.splitting.roots)}
+            for c in classes],
+        "involution_count": sum(c.size for c in classes),
+    })
 
 
-def cmd_cubes(args) -> int:
+def cmd_cubes(args) -> Output:
     from .involutions import classify_cubes
 
     rs = build_root_system(args.type)
     cube_classes = classify_cubes(rs)
-    if args.json:
-        _emit_json({
-            "type": str(rs.type_spec),
-            "cube_classes": [
-                {"rank": c.rank, "size": c.size,
-                 "representative_roots": list(c.representative.roots)}
-                for c in cube_classes],
-        })
-        return EXIT_OK
     rows = [[str(c.rank), str(c.size),
              " ".join(map(str, c.representative.roots))] for c in cube_classes]
-    _emit_table(args, ["rank", "size", "representative"], rows)
-    return EXIT_OK
+    return Output(["rank", "size", "representative"], rows, lambda: {
+        "type": str(rs.type_spec),
+        "cube_classes": [
+            {"rank": c.rank, "size": c.size,
+             "representative_roots": list(c.representative.roots)}
+            for c in cube_classes],
+    })
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> Output:
     from .involutions import classify_involutions
     from .invariants import canonical_basis
 
     rs = build_root_system(args.type)
-    classes = classify_involutions(rs)
-    basis = canonical_basis(classes)
-    if args.json:
-        _emit_json(basis.to_json_dict())
-    else:
-        _emit_table(args, ["type", "rank", "degrees"],
-                    [[basis.type_name, str(basis.rank),
-                      ",".join(map(str, basis.degrees))]])
-    return EXIT_OK
+    basis = canonical_basis(classify_involutions(rs))
+    return Output(["type", "rank", "degrees"],
+                  [[basis.type_name, str(basis.rank),
+                    ",".join(map(str, basis.degrees))]],
+                  basis.to_json_dict)
 
 
-def cmd_pair(args) -> int:
+def cmd_pair(args) -> Output:
     from .involutions import classify_involutions
     from .invariants import expand, sw, sw_separation_report
     from .reps import GapBudget, base_catalogue, default_catalogue
@@ -294,25 +305,20 @@ def cmd_pair(args) -> int:
         exprs.append((text, parse_expression(text, rs, aliases)))
     vectors = [(label, expand(e, classes)) for label, e in exprs]
     separation = sw_separation_report(classes, base_reps)
-    if args.json:
-        _emit_json({
+    rows = [[label] + [str(poly) for _, poly in vec.coeffs]
+            for label, vec in vectors]
+    unseparated = " ".join(f"{a}|{b}" for a, b in separation.unseparated)
+    return Output(
+        ["expr"] + [c.class_id for c in classes], rows, lambda: {
             "type": str(rs.type_spec),
             "pairings": [
                 {"expr": label, **vec.to_json_dict()} for label, vec in vectors],
             "separation": separation.to_json_dict(),
-        })
-        return EXIT_OK
-    header = ["expr"] + [c.class_id for c in classes]
-    rows = [[label] + [str(poly) for _, poly in vec.coeffs]
-            for label, vec in vectors]
-    _emit_table(args, header, rows)
-    if separation.unseparated:
-        pairs = " ".join(f"{a}|{b}" for a, b in separation.unseparated)
-        print(f"unseparated by catalogued sw classes: {pairs}")
-    return EXIT_OK
+        },
+        [f"unseparated by catalogued sw classes: {unseparated}"] if unseparated else [])
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> Output:
     from .involutions import REDUCTION_PAIRS, verify_reduction
 
     rs = build_root_system(args.type)
@@ -325,18 +331,15 @@ def cmd_reduce(args) -> int:
     if emb is None:
         raise ValueError(f"{rs.type_spec} has no subsystem of type {target}")
     report = verify_reduction(rs, emb)
-    if args.json:
-        _emit_json(report.to_json_dict())
-        return EXIT_OK
-    _emit_table(args, ["ambient", "subsystem", "index", "odd", "covered", "pass"],
-                [[report.ambient_type, report.sub_type, str(report.index),
-                  str(report.index_odd),
-                  f"{sum(1 for _, _, c in report.cube_classes if c)}/{len(report.cube_classes)}",
-                  str(report.passed)]])
-    return EXIT_OK
+    covered = sum(1 for _, _, c in report.cube_classes if c)
+    return Output(["ambient", "subsystem", "index", "odd", "covered", "pass"],
+                  [[report.ambient_type, report.sub_type, str(report.index),
+                    str(report.index_odd),
+                    f"{covered}/{len(report.cube_classes)}", str(report.passed)]],
+                  report.to_json_dict)
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args) -> Output:
     from .involutions import classify_involutions
     from .reps import GapBudget, base_catalogue, default_catalogue, hard_case_reports
 
@@ -345,41 +348,37 @@ def cmd_gap(args) -> int:
     budget = GapBudget(max_exterior=args.budget)
     base, skipped = base_catalogue(rs, budget)
     reports = hard_case_reports(classes, default_catalogue(rs, budget, base))
-    if args.json:
-        _emit_json({"type": str(rs.type_spec),
-                    "partial": bool(skipped),
-                    "skipped": skipped,
-                    "reports": [r.to_json_dict() for r in reports]})
-        return EXIT_OK
-    rows = []
-    for r in reports:
-        hits = "; ".join(f"{d}:{g:+d}" for d, g in r.hits) or "none found in catalogue"
-        rows.append([f"{r.pair[0]}|{r.pair[1]}", str(r.target), hits])
-    _emit_table(args, ["pair", "target", "hits"], rows)
-    if skipped:
-        print(f"partial: catalogue skipped oversized orbits: {', '.join(skipped)}")
-    return EXIT_OK
+    rows = [[f"{r.pair[0]}|{r.pair[1]}", str(r.target),
+             "; ".join(f"{d}:{g:+d}" for d, g in r.hits) or "none found in catalogue"]
+            for r in reports]
+    return Output(
+        ["pair", "target", "hits"], rows, lambda: {
+            "type": str(rs.type_spec), "partial": bool(skipped), "skipped": skipped,
+            "reports": [r.to_json_dict() for r in reports]},
+        [f"partial: catalogue skipped oversized orbits: {', '.join(skipped)}"]
+        if skipped else [])
 
 
-def cmd_verify(args) -> int:
-    from .verify import run_acceptance
+def cmd_verify(args) -> Output:
+    from .verify import CheckResult, run_acceptance
 
     tier = "fast" if args.fast else ("full" if args.full else "default")
-    results = run_acceptance(tier)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
+    done = []
+
+    def run():  # keeps each result for `status` as the renderer reads it
+        for result in run_acceptance(tier):
+            done.append(result)
+            yield result
+
+    rows = run()
+    return Output(
+        list(CheckResult._fields), rows, lambda: [r._asdict() for r in rows],
+        line=lambda r: f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.seconds:.1f}s): {r.detail}",
+        status=lambda: EXIT_OK if all(r.ok for r in done) else EXIT_VERIFY_FAILED)
 
 
-_DISPATCH = {
-    "roots": cmd_roots,
-    "order": cmd_order,
-    "involutions": cmd_involutions,
-    "cubes": cmd_cubes,
-    "basis": cmd_basis,
-    "pair": cmd_pair,
-    "reduce": cmd_reduce,
-    "gap": cmd_gap,
-    "verify": cmd_verify,
-}
+_DISPATCH = {name.removeprefix("cmd_"): command for name, command in globals().items()
+             if name.startswith("cmd_")}
 
 
 def main(argv=None) -> int:
@@ -389,7 +388,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
     try:
-        return _DISPATCH[args.command](args)
+        return render(args, _DISPATCH[args.command](args))
     except InternalError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,7 +1,7 @@
 """The acceptance battery: every checkable claim, with independent oracles.
 
-Each criterion is a function returning a CheckResult; run_acceptance drives
-them and prints one pass/fail line per criterion.  The oracle side
+Each criterion is a function returning (passed, detail); run_acceptance runs
+them and yields one CheckResult per criterion as it finishes.  The oracle side
 deliberately avoids the fast pipeline: involution censuses come from full
 breadth-first group enumeration, determinants from Fraction elimination.
 """
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,12 +50,13 @@ def get_system(name: str) -> RootSystem:
     return rs
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One criterion's outcome: the record `weylinv --json verify` prints."""
+
     name: str
-    passed: bool
-    detail: str
+    ok: bool
     seconds: float
+    detail: str
 
 
 # -- independent oracles -------------------------------------------------------
@@ -373,8 +373,8 @@ CRITERIA = (
 )
 
 
-def run_acceptance(tier: str = "default", out=print) -> list[CheckResult]:
-    """Run every criterion; one line per criterion; returns the results.
+def run_acceptance(tier: str = "default") -> Iterator[CheckResult]:
+    """Run every criterion, yielding each result as soon as it is known.
 
     tier 'default' runs the criteria as stated; 'fast' runs criterion 1 on
     A1-A4, criteria 2-3 on F4 and G2 and criterion 7 on D6, so no E7/E8, and
@@ -383,16 +383,10 @@ def run_acceptance(tier: str = "default", out=print) -> list[CheckResult]:
     """
     if tier not in ("fast", "default", "full"):
         raise ValueError(f"unknown tier {tier!r}")
-    results = []
     for name, fn in CRITERIA:
         t0 = time.monotonic()
         if name == "4-pairing-delta":
             passed, detail = fn(full=(tier == "full"))
         else:
             passed, detail = fn(full=(tier != "fast"))
-        dt = time.monotonic() - t0
-        result = CheckResult(name, passed, detail, dt)
-        results.append(result)
-        status = "PASS" if passed else "FAIL"
-        out(f"{status} {name} ({dt:.1f}s): {detail}")
-    return results
+        yield CheckResult(name, passed, time.monotonic() - t0, detail)

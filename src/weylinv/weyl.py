@@ -227,7 +227,8 @@ def enumerate_group(rs: RootSystem) -> list[GroupElement]:
     """Every element of W by breadth-first closure of the simple reflections.
 
     Brute force on purpose: this is the oracle the fast paths are checked
-    against.  Only sensible for small groups.
+    against.  Only sensible for small groups.  Each element's images are a
+    read-only view of its dedup key, so the images are stored once.
     """
     gens = simple_reflections(rs)
     ident = identity(rs)
@@ -237,10 +238,10 @@ def enumerate_group(rs: RootSystem) -> list[GroupElement]:
         new = []
         for g in frontier:
             for s in gens:
-                h = compose(s, g)
-                key = h.images.tobytes()
+                key = compose(s, g).images.tobytes()
                 if key not in seen:
-                    seen[key] = h
+                    h = seen[key] = GroupElement(
+                        np.frombuffer(key, ident.images.dtype), rs)
                     new.append(h)
         frontier = new
     return list(seen.values())

@@ -1,5 +1,6 @@
 """Group arithmetic, stabilizer chains, orbit machinery."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import factorial
@@ -153,6 +154,26 @@ def test_matrix_orthogonal_for_gram_form(system):
 def test_group_order_matches_enumeration(system, name):
     rs = system(name)
     assert group_order(rs) == len(enumerate_group(rs))
+
+
+# sha256 of the images of every element, in the order enumerate_group
+# returns them, recorded when each element held a copy of its images
+ENUMERATION_DIGESTS = {
+    "A3": (24, "307f0218fda53b9e722c4180791e81376340ce657fe8b82ebb6beaaec3615abe"),
+    "B4": (384, "8e7336c8660779b4eb53d9895092c6744e93320a433190360308023554c9d79d"),
+    "D4": (192, "9787c7a61ca1ee153534f409f0f34fb6f2c75a96e82d70b1bc81e7ae674f0e4d"),
+    "F4": (1152, "9526c91cce6b37bf6243ba4f5ddce20ff9455f6e9388f87997df82fea856c619"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_order_and_images_are_pinned(system, name):
+    elements = enumerate_group(system(name))
+    assert elements[0].is_identity()
+    assert all(g.images.dtype == np.int16 and not g.images.flags.writeable
+               for g in elements)
+    digest = hashlib.sha256(b"".join(g.images.tobytes() for g in elements))
+    assert (len(elements), digest.hexdigest()) == ENUMERATION_DIGESTS[name]
 
 
 def test_chain_transversal_product_is_order(system):
