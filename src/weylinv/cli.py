@@ -3,7 +3,8 @@
 Output is deterministic (fixed ordering, no timestamps); identical
 invocations produce byte-identical output, except that `verify` prints the
 seconds each criterion took.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 internal invariant violation.
+failure, 2 usage error, 3 internal invariant violation.  A reader that
+closes stdout early is no error: the exit code is what was found by then.
 
 Each subcommand imports the modules it calls, and only those: a process
 runs one command, and a module it does not import it need not compile or run.
@@ -14,6 +15,7 @@ between --json, --csv and the plain table.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -388,7 +390,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
     try:
-        return render(args, _DISPATCH[args.command](args))
+        out = _DISPATCH[args.command](args)
+        try:
+            status = render(args, out)
+            sys.stdout.flush()  # so a reader that left shows here, not at exit
+        except BrokenPipeError:  # what is left goes nowhere, and that is no error
+            devnull = os.open(os.devnull, os.O_WRONLY)  # for the flush at exit
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            status = out.status()
+        return status
     except InternalError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .roots import InternalError, RootSystem, memoized
-from .involutions import Cube, InvolutionClass, _mask_engine
+from .involutions import Cube, InvolutionClass, _mask_engine, negated_rows
 from .reps import Representation
 
 
@@ -345,7 +345,7 @@ def _product_classes(cube: Cube) -> _Products:
     engine = _mask_engine(rs)
     index: dict[int, int] = {}
     of_s, members = [], []
-    for s, (_, least) in enumerate(engine.orbit_classes(engine.negated_rows(images))):
+    for s, (_, least) in enumerate(engine.orbit_classes(negated_rows(images, rs))):
         j = index.setdefault(least, len(index))
         if j == len(members):
             members.append(0)

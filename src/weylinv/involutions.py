@@ -62,18 +62,23 @@ from .weyl import (GroupElement, compose, coxeter_trace, group_order,
                    identity, subgroup_order)
 
 
-def mask_of_perm(images: np.ndarray, rs: RootSystem) -> int:
-    """Bitmask of the positive roots that a root permutation negates."""
-    P = rs.n_positive
-    bits = images[:P] == np.arange(P, 2 * P, dtype=images.dtype)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                          "little")
-
-
 # -- the orbit engine --------------------------------------------------------
 
 _KEY_SEED = 0x9E3779B97F4A7C15  # increment of the sequence the bit keys hash
 _WORD = np.dtype("<u8")
+
+
+def negated_rows(images: np.ndarray, rs: RootSystem) -> np.ndarray:
+    """Row i: the positive roots the root permutation images[i] negates, as a mask row."""
+    P = rs.n_positive
+    bits = np.zeros((len(images), (P + 63) // 64 * 64), dtype=bool)
+    bits[:, :P] = images[:, :P] == np.arange(P, 2 * P)
+    return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
+
+
+def mask_of_perm(images: np.ndarray, rs: RootSystem) -> int:
+    """Bitmask of the positive roots that a root permutation negates."""
+    return int.from_bytes(negated_rows(images[None], rs).tobytes(), "little")
 
 
 def _byte_tables(per_bit: np.ndarray, op: np.ufunc) -> np.ndarray:
@@ -159,14 +164,6 @@ class MaskEngine:
     def rows(self, masks: Sequence[int]) -> np.ndarray:
         data = b"".join(m.to_bytes(8 * self.nwords, "little") for m in masks)
         return np.frombuffer(data, dtype=_WORD).reshape(-1, self.nwords)
-
-    def negated_rows(self, images: np.ndarray) -> np.ndarray:
-        """The row of the positive roots that each root permutation, a row
-        of images, negates (mask_of_perm of each)."""
-        P = self.nbits
-        bits = np.zeros((len(images), 64 * self.nwords), dtype=bool)
-        bits[:, :P] = images[:, :P] == np.arange(P, 2 * P)
-        return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
 
     def mask(self, row: np.ndarray) -> int:
         return int.from_bytes(np.asarray(row, dtype=_WORD).tobytes(), "little")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .roots import (InternalError, RootSystem, SubsystemEmbedding, TypeSpec, find_subsystem,
                     memoized)
-from .involutions import Cube, InvolutionClass, _greedy_roots, _mask_engine
+from .involutions import InvolutionClass, _mask_engine, classify_involutions
 from .weyl import GroupElement, coxeter_trace, element_matrix, length_parity
 
 
@@ -58,11 +58,16 @@ class Representation:
 
     @memoized
     def class_value(self, mask: int) -> int:
-        """The trace on the involution orbit whose least mask is given."""
+        """The trace on the involution class whose representative has the given
+        mask, read at the representative classify_involutions built: so a class
+        value classifies the system's involutions first."""
         if self._factors:
             op, a, b = self._factors
             return op(a.class_value(mask), b.class_value(mask))
-        return self.trace(Cube(self.home, _greedy_roots(self.home, mask)).element())
+        found = [c for c in classify_involutions(self.home) if c.representative.mask == mask]
+        if len(found) != 1:
+            raise InternalError(f"{len(found)} involution classes have the least mask {mask:#x}")
+        return self.trace(found[0].representative.element)
 
     def __repr__(self):
         return f"Representation({self.descriptor}, dim {self.dim})"

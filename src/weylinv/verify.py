@@ -20,7 +20,7 @@ from .weyl import (GroupElement, compose, coxeter_trace, element_matrix,
                    enumerate_group, identity, invert, orbit_partition,
                    simple_reflections)
 from .involutions import (REDUCTION_PAIRS, Cube, Involution, InvolutionClass,
-                          classify_involutions, enumerate_cubes,
+                          ReductionReport, classify_involutions, enumerate_cubes,
                           involution_from_cube, split_involution,
                           verify_reduction)
 from .invariants import (BasePoly, CubeClassElement, InvariantExpr,
@@ -104,11 +104,10 @@ def brute_force_census(rs: RootSystem) -> list[tuple[int, int]]:
     return sorted(census)
 
 
-def random_element(rs: RootSystem, rng: random.Random, length: int = 16,
-                   ) -> GroupElement:
+def random_element(rs: RootSystem, rng: random.Random) -> GroupElement:
     gens = simple_reflections(rs)
     w = identity(rs)
-    for _ in range(length):
+    for _ in range(16):
         w = compose(w, rng.choice(gens))
     return w
 
@@ -159,18 +158,20 @@ def check_basis_tables(full: bool = True) -> tuple[bool, str]:
     return ok, "; ".join(notes)
 
 
+def _reductions(full: bool) -> Iterator[tuple[str, str, int, ReductionReport]]:
+    """(ambient, subsystem, index, report) of each reduction the tier checks."""
+    for amb, sub, index in REDUCTION_PAIRS:
+        if not full and amb in ("E6", "E7", "E8"):
+            continue
+        rs = get_system(amb)
+        yield amb, sub, index, verify_reduction(rs, find_subsystem(rs, sub))
+
+
 def check_reduction_indices(full: bool = True) -> tuple[bool, str]:
     """Criterion 2: the five odd subgroup indices, exactly."""
     notes = []
     ok = True
-    for amb, sub, want in REDUCTION_PAIRS:
-        if not full and amb in ("E6", "E7", "E8"):
-            continue
-        rs = get_system(amb)
-        emb = find_subsystem(rs, sub)
-        if emb is None:
-            return False, f"no {sub} inside {amb}"
-        report = verify_reduction(rs, emb)
+    for amb, sub, want, report in _reductions(full):
         if report.index != want or not report.index_odd:
             ok = False
         notes.append(f"({amb}:{sub})={report.index}")
@@ -181,11 +182,7 @@ def check_cube_coverage(full: bool = True) -> tuple[bool, str]:
     """Criterion 3: every cube class of G meets the reduction subsystem."""
     notes = []
     ok = True
-    for amb, sub, _ in REDUCTION_PAIRS:
-        if not full and amb in ("E6", "E7", "E8"):
-            continue
-        rs = get_system(amb)
-        report = verify_reduction(rs, find_subsystem(rs, sub))
+    for amb, _, _, report in _reductions(full):
         covered = sum(1 for _, _, c in report.cube_classes if c)
         notes.append(f"{amb}: {covered}/{len(report.cube_classes)}")
         if not report.all_covered:
@@ -220,8 +217,7 @@ def _pairing_battery(rs: RootSystem) -> list[InvariantExpr]:
     return exprs
 
 
-def check_splitting_independence(full: bool = True,
-                                 conjugates: int = 5) -> tuple[bool, str]:
+def check_splitting_independence(full: bool = True) -> tuple[bool, str]:
     """Criterion 5: pairings agree across splittings and random conjugates."""
     rng = random.Random(20260808)
     checked_cubes = 0
@@ -247,7 +243,7 @@ def check_splitting_independence(full: bool = True,
                 checked_cubes += 1
         for cls in classes:
             reference = [pairing(e, cls) for e in battery]
-            for _ in range(conjugates):
+            for _ in range(5):
                 conj = random_conjugate(cls, rng)
                 alt = split_involution(conj)
                 values = [top_coefficient(restrict_to_cube(e, alt))

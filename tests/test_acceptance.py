@@ -53,7 +53,7 @@ def test_criterion_4_pairing_delta_e7_e8():
 def test_criterion_5_splitting_independence():
     # all alternative splitting cubes in B2, B4, D4, F4 and >= 5 random
     # conjugates per class agree on the whole test battery
-    passed, detail = check_splitting_independence(full=True, conjugates=5)
+    passed, detail = check_splitting_independence(full=True)
     report("criterion-5-splitting-independence", passed, detail)
 
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,23 @@ def test_unexpected_error_exits_internal(monkeypatch, capsys):
     assert code == cli.EXIT_INTERNAL
     assert out == ""
     assert err.splitlines() == ["internal error: RuntimeError: boom"]
+
+
+@pytest.mark.parametrize("argv", [["roots", "E8"], ["--json", "involutions", "E7"],
+                                  ["verify", "--fast"]])
+def test_closed_stdout_is_no_error(argv):
+    # the read end is closed before the child starts, so its first write fails
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "weylinv.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_order_rejects_oversized_type_before_building(capsys):

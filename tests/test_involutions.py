@@ -711,6 +711,143 @@ def test_engine_looks_a_kept_image_up_in_the_level_below(monkeypatch):
                       for level in range(max(distance.values()) + 1)]
 
 
+# -- certificates that need no engine table, key or search --------------------
+
+def reordered(name, order):
+    """A fresh root system whose simple roots come in the given order."""
+    rs = build_root_system(name)
+    rs.simple_indices = tuple(rs.simple_indices[j] for j in order)
+    rs._scoord_mat = rs._scoord_mat[:, order]  # coordinates in the reordered simple basis
+    return rs
+
+
+def unpacked(rows, nbits):
+    """Bit i of each packed mask row, as a (rows x nbits) 0/1 array."""
+    rows = np.ascontiguousarray(rows, dtype="<u8")
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=nbits, bitorder="little")
+
+
+def packed(bits):
+    """Packed mask rows of little-endian 64-bit words from a 0/1 array whose
+    width is a multiple of 64."""
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def lex_sorted(rows):
+    """The rows in lexicographic order, most significant word first."""
+    return rows[np.lexsort(rows.T)]
+
+
+def certify_stored_orbits(rs):
+    """Every orbit the engine stores is one W-orbit: per bit count, the stored
+    rows are distinct, each simple reflection maps them onto themselves and
+    every row into its own orbit, and each orbit is connected under the
+    simple reflections (labels take the least label of a neighbour until
+    none changes).  The simple reflections generate W, so a set of masks that
+    is closed and connected under them is one orbit.  No engine table, key
+    or search is used: each image is the row's bits permuted, then repacked."""
+    from weylinv.involutions import _mask_engine
+    stored, P = _mask_engine(rs)._stored, rs.n_positive
+    perms = [rs.positive_perm(p) for p in rs.simple_reflection_perms()]
+    for nbits in {orbit.nbits for orbit in stored}:
+        orbits = [orbit.rows for orbit in stored if orbit.nbits == nbits]
+        rows = np.concatenate(orbits)
+        owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
+        order = np.lexsort(rows.T)
+        ordered, bits = rows[order], unpacked(rows, 64 * rows.shape[1])
+        assert (ordered[1:] != ordered[:-1]).any(axis=1).all()  # distinct: the orbits are disjoint
+        neighbours = np.empty((len(rows), len(perms)), dtype=np.intp)
+        for g, perm in enumerate(perms):
+            source = np.arange(bits.shape[1])
+            source[perm] = np.arange(P)  # bit perm[i] of an image is bit i of its row
+            images = packed(np.take(bits, source, axis=1))
+            at = np.lexsort(images.T)
+            assert np.array_equal(images[at], ordered)  # the images are the stored rows
+            neighbours[at, g] = order
+        assert (owner[neighbours] == owner[:, None]).all()  # each in its row's orbit
+        labels, before = np.arange(len(rows)), None
+        while not np.array_equal(labels, before):
+            before = labels
+            labels = np.minimum(labels, labels[neighbours].min(axis=1))
+            labels = labels[labels]
+        assert len(np.unique(labels)) == len(orbits)  # one component per orbit
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "D4", "B4", "E6", "D6", "A1xD6", "A2xG2", "E7",
+                                  "B8"])
+def test_every_stored_orbit_is_one_orbit(name):
+    rs = build_root_system(name)
+    classify_involutions(rs)
+    classify_cubes(rs)
+    certify_stored_orbits(rs)
+
+
+@pytest.mark.parametrize("order", [(1, 3, 0, 2), (2, 0, 3, 1)])
+def test_every_orbit_of_reordered_a4_masks_is_one_orbit(order):
+    # in these orders some searches keep an image that lies in the level
+    # below, so the orbit of every mask is searched, not only the classes'
+    from weylinv.involutions import _mask_engine
+    rs = reordered("A4", order)
+    engine = _mask_engine(rs)
+    found = engine.classes(engine.rows(range(1 << rs.n_positive)))
+    assert sum(size for size, _ in found) == 1 << rs.n_positive
+    certify_stored_orbits(rs)
+
+
+def has_minus_one(rs):
+    """Whether a greedy set of orthogonal positive roots reaches the rank: the
+    product of their reflections is then -1, which is in W."""
+    pos = rs._icoord_mat[:rs.n_positive]
+    picked = []
+    for i in range(rs.n_positive):
+        if not (pos[picked] @ pos[i]).any():
+            picked.append(i)
+    return len(picked) == rs.rank
+
+
+@pytest.mark.parametrize("name", ["A1", "B3", "B4", "C4", "D4", "D6", "F4", "G2", "E7", "B8",
+                                  "A1xD6", "A1xE7", "E8"])
+def test_minus_one_maps_degree_k_classes_onto_degree_r_minus_k(name):
+    """With -1 in W, -w is an involution of degree r - k for w of degree k,
+    and it negates exactly the positive roots orthogonal to the (-1)-eigenspace
+    of w, which the roots w negates span.  So the orthogonal complements of a
+    degree-k orbit, read off the root coordinates, are a degree-(r - k) orbit."""
+    from weylinv.involutions import _mask_engine
+    rs = build_root_system(name)
+    assert has_minus_one(rs)
+    P, engine, classes = rs.n_positive, _mask_engine(rs), classify_involutions(rs)
+    pos = rs._icoord_mat[:P]
+    meets = (pos @ pos.T != 0).astype(np.float32)  # exact: a row sums at most P ones
+
+    def orbit(cls):
+        return engine.orbit_rows(cls.representative.mask)
+
+    def complements(rows):
+        orthogonal = np.zeros((len(rows), 64 * rows.shape[1]), dtype=np.uint8)
+        orthogonal[:, :P] = unpacked(rows, P).astype(np.float32) @ meets == 0
+        return packed(orthogonal)
+
+    assert sorted((rs.rank - c.degree, lex_sorted(complements(orbit(c))).tobytes())
+                  for c in classes) == \
+        sorted((c.degree, lex_sorted(orbit(c)).tobytes()) for c in classes)
+
+
+@pytest.mark.parametrize("name,order", [
+    ("A4", (1, 3, 0, 2)), ("A4", (2, 0, 3, 1)), ("D4", (3, 1, 0, 2)), ("B4", (2, 0, 3, 1)),
+    ("F4", (3, 2, 1, 0)), ("E6", (4, 2, 0, 5, 3, 1)), ("E7", (6, 3, 0, 4, 1, 5, 2))])
+def test_tables_do_not_depend_on_the_order_of_the_simple_reflections(system, name, order):
+    # sizes and least masks are properties of the orbits, not of the search
+    assert _class_rows(reordered(name, order)) == _class_rows(system(name))
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "E6", "E7"])
+def test_tables_do_not_depend_on_the_key_seed(monkeypatch, system, name):
+    from weylinv import involutions
+    expected = _class_rows(system(name))
+    monkeypatch.setattr(involutions, "_KEY_SEED", 0xD1B54A32D192ED03)
+    assert _class_rows(build_root_system(name)) == expected
+
+
 @pytest.mark.parametrize("name", RANK_LE_4 + ["A5", "A7", "B6", "C5", "D6", "D8", "E6", "E7",
                                               "E8", "A1xA2", "A2xG2", "B2xG2", "A1xD4",
                                               "A1xD6", "A1xE7"])
