@@ -18,28 +18,29 @@ homogeneous element, which pairing with an involution class reads on the
 class's splitting cube, is the popcount parity of its transform.
 
 A trace must be a character, a class function, since restriction reads it
-once per involution orbit: N(S) is read off the value on the orbit of g_S
+once per involution class: N(S) is read off the value on the class of g_S
 (Representation.class_value), and the transform of sw_k, the union of the
-sets of S whose g_S lies in an orbit where N(S) & k == k, is built only for
-the k asked for.  The orbits of a cube's products are looked up in the
-orbit engine once per cube, which holds them, so every representation
-restricted to the cube shares them; the engine searches only those orbits
-of the products that it does not store yet.  A restriction and its
+sets of S whose g_S lies in a class where N(S) & k == k, is built only for
+the k asked for.  The classes of a cube's products come from
+involutions.cube_products once per cube, which holds them, so every
+representation restricted to the cube shares them.  A restriction and its
 transforms are held by the representation.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .roots import InternalError, RootSystem, memoized
-from .involutions import Cube, InvolutionClass, _mask_engine, negated_rows
-from .reps import Representation
+from .involutions import cube_products
+
+if TYPE_CHECKING:
+    from .involutions import Cube, CubeProducts, InvolutionClass
+    from .reps import Representation
 
 
 def _carryless_mul(a: int, b: int) -> int:
@@ -327,42 +328,14 @@ def _hadamard(n: int) -> np.ndarray:
                   np.ones((1, 1), dtype=np.int8))
 
 
-# The orbits of the 2^n products g_S of a cube: the least mask of each orbit
-# they meet, the index in that tuple of the orbit of each g_S, and the bitmask
-# of the S whose g_S lies in each orbit.
-_Products = namedtuple("_Products", "orbits of_s members")
-
-
 @memoized
-def _product_classes(cube: Cube) -> _Products:
-    """The orbits of the products of a cube.  The engine reads each
-    product's orbit off its stored orbits, and searches only the products
-    none of them holds."""
-    rs = cube.home
-    images = np.arange(2 * rs.n_positive, dtype=np.int16)[None]  # row S is g_S
-    for i in cube.roots:
-        images = np.vstack([images, images[:, rs.reflection_perm(i)]])
-    engine = _mask_engine(rs)
-    index: dict[int, int] = {}
-    of_s, members = [], []
-    for s, (_, least) in enumerate(engine.orbit_classes(negated_rows(images, rs))):
-        j = index.setdefault(least, len(index))
-        if j == len(members):
-            members.append(0)
-        members[j] |= 1 << s
-        of_s.append(j)
-    of_s = np.array(of_s, dtype=np.min_scalar_type(len(index)))
-    return _Products(tuple(index), of_s, tuple(members))
-
-
-@memoized
-def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int], _Products]:
-    """The character multiplicities of rep on the cube, N(S) on each orbit
-    of the products g_S, and those orbits."""
+def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int], CubeProducts]:
+    """The character multiplicities of rep on the cube, N(S) on each class
+    of the products g_S, and those classes."""
     if rep.home is not cube.home:
         raise ValueError("representation and cube live on different root systems")
-    products = _product_classes(cube)
-    values = np.array([rep.class_value(least) for least in products.orbits])
+    products = cube_products(cube)
+    values = np.array([rep.class_value(cls) for cls in products.classes])
     traces = values[products.of_s]
     sums = _hadamard(len(cube)) @ traces
     bad = np.flatnonzero((sums % len(traces) != 0) | (sums < 0))
@@ -379,7 +352,7 @@ def _restriction(rep: Representation, cube: Cube) -> tuple[list[int], list[int],
 @memoized
 def _transform(rep: Representation, cube: Cube, k: int) -> int:
     """The transform of sw_k of rep restricted to the cube, {S : N(S) & k == k}
-    (C(N(S), k) odd), built from the orbits of the g_S."""
+    (C(N(S), k) odd), built from the classes of the g_S."""
     _, minus, products = _restriction(rep, cube)
     # the member sets are disjoint: their sum is their union
     return sum(m for m, n in zip(products.members, minus) if n & k == k)

@@ -26,10 +26,11 @@ before, so kept images are looked up by key in the current level and that
 one.  Every key match and every repeated key is compared row by row, and a
 last pass checks that keys are distinct across the whole search, so two
 masks sharing a key raise InternalError instead of yielding a wrong orbit.
-Callers get each orbit's size and least mask, the class of each given mask
-(restriction to a cube asks it of the cube's products) and counts of an
-orbit's masks inside a given mask; only a permutation representation reads
-one orbit's rows.
+The engine gives each orbit's size and least mask, the orbit of each given
+mask and counts of an orbit's masks inside a given mask.  Mask rows, the
+engine and "a class is its orbit's least mask" stay in this module: other
+modules ask it for involution classes, the classes of a cube's products
+(cube_products) and the conjugates of a subsystem (conjugate_subsystems).
 
 The engine of a root system stores every orbit it found, read-only, one
 orbit per search, and searches from a given mask only if no stored orbit
@@ -53,7 +54,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -326,9 +327,9 @@ def _no_collision(ok: bool) -> None:
 class Cube:
     """Pairwise orthogonal positive roots, i.e. a 2-elementary subgroup.
 
-    The orbits of its products, which restriction to it reads, are held in
-    its `_memo` by a `memoized` function: every representation restricted to
-    this cube shares them, and they go with the cube.
+    The classes of its products, which restriction to it reads, are held in
+    its `_memo` by `cube_products`: every representation restricted to this
+    cube shares them, and they go with the cube.
     """
 
     __slots__ = ("home", "roots", "mask", "_memo")
@@ -475,9 +476,10 @@ def involution_from_cube(cube: Cube) -> Involution:
     return inv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvolutionClass:
-    """One conjugacy class of involutions."""
+    """One conjugacy class of involutions.  Equality and hash are identity,
+    so a class is a cheap memo key (for its character values)."""
 
     representative: Involution
     degree: int
@@ -521,6 +523,41 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
 
 def involution_count(rs: RootSystem) -> int:
     return sum(cls.size for cls in classify_involutions(rs))
+
+
+# The classes of the 2^n products g_S of a cube: each class they meet, the
+# index in that tuple of the class of each g_S, and the bitmask of the S
+# whose g_S lies in each class.
+CubeProducts = namedtuple("CubeProducts", "classes of_s members")
+
+
+@memoized
+def cube_products(cube: Cube) -> CubeProducts:
+    """The involution classes of the products g_S of the reflections in each
+    subset S of a cube's roots.  The engine reads each product's orbit off
+    the classification's stored orbits, and a class is its orbit's least mask."""
+    rs = cube.home
+    images = np.arange(2 * rs.n_positive, dtype=np.int16)[None]  # row S is g_S
+    for i in cube.roots:
+        images = np.vstack([images, images[:, rs.reflection_perm(i)]])
+    by_least = {cls.representative.mask: cls for cls in classify_involutions(rs)}
+    leasts = [least for _, least in _mask_engine(rs).orbit_classes(negated_rows(images, rs))]
+    met = list(dict.fromkeys(leasts))  # in the order the g_S first meet them
+    of_s = np.array([met.index(m) for m in leasts], dtype=np.min_scalar_type(len(met)))
+    members = (sum(1 << s for s, m in enumerate(leasts) if m == least) for least in met)
+    return CubeProducts(tuple(by_least[least] for least in met), of_s, tuple(members))
+
+
+def conjugate_subsystems(sub: SubsystemEmbedding) -> tuple[int, Callable[[GroupElement], int]]:
+    """How many W-conjugates the positive roots of a subsystem have, and a
+    function counting the conjugates an element maps onto themselves."""
+    engine, P = _mask_engine(sub.ambient), sub.ambient.n_positive
+    orbit = engine.orbit_rows(sub.positive_closure_mask())
+
+    def fixed(g: GroupElement) -> int:  # bit i of a mask goes to bit images[i] % P
+        return engine.fixed_points(orbit, g.images[:P] % P)
+
+    return len(orbit), fixed
 
 
 # -- cube classes -----------------------------------------------------------

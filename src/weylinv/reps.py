@@ -5,7 +5,8 @@ permutation representations count fixed points, exterior powers come from
 the power traces of the reflection matrix by Newton's identities, the
 half-subset pair from one pass over the subset matrix, and sums/tensors
 combine traces.  Each character has one exact integer path, whatever the
-element; everything returns plain integers.
+element, to a plain integer; restriction and character gaps read it once
+per involution class, at the class representative.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .roots import (InternalError, RootSystem, SubsystemEmbedding, TypeSpec, find_subsystem,
                     memoized)
-from .involutions import InvolutionClass, _mask_engine, classify_involutions
+from .involutions import InvolutionClass, conjugate_subsystems
 from .weyl import GroupElement, coxeter_trace, element_matrix, length_parity
 
 
@@ -28,12 +29,12 @@ class Representation:
     """An orthogonal representation given by dimension and an exact trace.
 
     The trace must be a character, a class function: restriction to cubes and
-    character gaps read it once per involution orbit, at the involution whose
-    mask is the orbit's least (the class representative's).  A direct sum or
-    a tensor product adds or multiplies the values of its two factors.  What
-    is derived from a representation (its class values, its restriction to
-    each cube) is held in its `_memo` by `memoized` functions, and goes with it.
-    Equality is identity: two representations may share a descriptor.
+    character gaps read it once per involution class, at the class
+    representative.  A direct sum or a tensor product adds or multiplies the
+    values of its two factors.  What is derived from a representation (its
+    class values, its restriction to each cube) is held in its `_memo` by
+    `memoized` functions, and goes with it.  Equality is identity: two
+    representations may share a descriptor.
     """
 
     __slots__ = ("descriptor", "dim", "home", "_trace_fn", "_factors", "_memo")
@@ -57,17 +58,12 @@ class Representation:
         return self._trace_fn(g)
 
     @memoized
-    def class_value(self, mask: int) -> int:
-        """The trace on the involution class whose representative has the given
-        mask, read at the representative classify_involutions built: so a class
-        value classifies the system's involutions first."""
+    def class_value(self, cls: InvolutionClass) -> int:
+        """The trace on an involution class, read at its representative."""
         if self._factors:
             op, a, b = self._factors
-            return op(a.class_value(mask), b.class_value(mask))
-        found = [c for c in classify_involutions(self.home) if c.representative.mask == mask]
-        if len(found) != 1:
-            raise InternalError(f"{len(found)} involution classes have the least mask {mask:#x}")
-        return self.trace(found[0].representative.element)
+            return op(a.class_value(cls), b.class_value(cls))
+        return self.trace(cls.representative.element)
 
     def __repr__(self):
         return f"Representation({self.descriptor}, dim {self.dim})"
@@ -115,14 +111,8 @@ def conj_subsystem_rep(rs: RootSystem, sub: SubsystemEmbedding | str,
         if emb is None:
             raise ValueError(f"{rs.type_spec} has no subsystem of type {sub}")
         sub = emb
-    engine = _mask_engine(rs)
-    orbit = engine.orbit_rows(sub.positive_closure_mask())
-    P = rs.n_positive
-
-    def tr(g: GroupElement) -> int:  # bit i of a mask goes to bit images[i] % P
-        return engine.fixed_points(orbit, g.images[:P] % P)
-
-    return Representation(f"conj[{sub.sub_type}]", len(orbit), rs, tr)
+    dim, fixed = conjugate_subsystems(sub)
+    return Representation(f"conj[{sub.sub_type}]", dim, rs, fixed)
 
 
 def exterior_cox_rep(rs: RootSystem, k: int) -> Representation:
@@ -242,8 +232,7 @@ def character_gap(rep: Representation, cls_a: InvolutionClass,
     """chi(representative of a) - chi(representative of b); a class function."""
     if cls_a.home is not cls_b.home or cls_a.home is not rep.home:
         raise ValueError("classes and representation must share a root system")
-    return rep.class_value(cls_a.representative.mask) - \
-        rep.class_value(cls_b.representative.mask)
+    return rep.class_value(cls_a) - rep.class_value(cls_b)
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,13 @@ def _close(simples: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _simple_at(scoords: np.ndarray) -> np.ndarray:
+    """The row of each simple root among roots in simple-root coordinates,
+    in the order of the coordinates: the rows of height 1."""
+    units = np.flatnonzero(scoords.sum(axis=1) == 1)
+    return units[np.argsort(scoords[units].argmax(axis=1))]
+
+
 class Root:
     """One root: exact coordinates plus its expansion in the simple basis."""
 
@@ -286,7 +293,13 @@ class RootSystem:
         self._icoord_mat = np.concatenate([icoords[order], -icoords[order]])
         self.n_positive = len(order)
         self._by_bytes = np.argsort(_key(self._icoord_mat))
-        self.simple_indices = tuple(self._lookup(simples).tolist())
+
+    @property
+    @memoized
+    def simple_indices(self) -> tuple[int, ...]:
+        """Root index of each simple root, read off `_scoord_mat`, whose columns
+        alone hold the simple order.  Read-only."""
+        return tuple(_simple_at(self._scoord_mat).tolist())
 
     def _lookup(self, coords: np.ndarray) -> np.ndarray:
         """Index of each row of doubled coordinates, or -1 where it is no root."""

@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .roots import InternalError, Root, RootSystem, _close, memoized
+from .roots import InternalError, Root, RootSystem, _close, _simple_at, memoized
 
 
 class GroupElement:
@@ -160,8 +160,7 @@ def _chain(scoords: np.ndarray, icoords: np.ndarray) -> StabChain:
     orbit's dominant root its highest."""
     height, nonzero = scoords.sum(axis=1), scoords != 0
     norm = np.einsum("ij,ij->i", icoords, icoords)
-    units = np.flatnonzero(height == 1)
-    simple = units[np.argsort(scoords[units].argmax(axis=1))]
+    simple = _simple_at(scoords)
     rows = np.arange(len(scoords))  # the roots of Phi_J
     J = np.arange(scoords.shape[1])
     levels = []

@@ -503,6 +503,14 @@ def test_product_orbits_are_shared_across_representations(monkeypatch):
     assert calls == [1 << len(cube)]
 
 
+def test_representations_and_invariants_see_no_mask_or_engine():
+    # the packed mask rows and the orbit engine stay behind the involutions module
+    import weylinv.invariants
+    import weylinv.reps
+    for module in weylinv.invariants, weylinv.reps:
+        assert not {"_mask_engine", "MaskEngine", "negated_rows"} & set(vars(module))
+
+
 def test_expression_rejects_two_reps_with_one_descriptor(system):
     long_a1, short_a1 = _b3_conj_a1_pair(system("B3"))
     with pytest.raises(ValueError, match="conj"):

@@ -695,8 +695,7 @@ def test_engine_rejects_key_collision_across_orbits_of_one_search(monkeypatch):
 
 def test_engine_looks_a_kept_image_up_in_the_level_below(monkeypatch):
     from weylinv.involutions import MaskEngine
-    rs = build_root_system("A4")  # not the shared system: its generators are reordered
-    rs.simple_indices = tuple(rs.simple_indices[j] for j in (1, 3, 0, 2))
+    rs = reordered("A4", (1, 3, 0, 2))  # not the shared system
     # in this order a row of the search from 0b111 keeps its image under a
     # reflection back it did not record: that image lies in the level below,
     # and only the lookup there keeps the search from going on past it
@@ -716,7 +715,6 @@ def test_engine_looks_a_kept_image_up_in_the_level_below(monkeypatch):
 def reordered(name, order):
     """A fresh root system whose simple roots come in the given order."""
     rs = build_root_system(name)
-    rs.simple_indices = tuple(rs.simple_indices[j] for j in order)
     rs._scoord_mat = rs._scoord_mat[:, order]  # coordinates in the reordered simple basis
     return rs
 
@@ -838,6 +836,19 @@ def test_minus_one_maps_degree_k_classes_onto_degree_r_minus_k(name):
 def test_tables_do_not_depend_on_the_order_of_the_simple_reflections(system, name, order):
     # sizes and least masks are properties of the orbits, not of the search
     assert _class_rows(reordered(name, order)) == _class_rows(system(name))
+
+
+@pytest.mark.parametrize("name,order", [
+    ("A4", (1, 3, 0, 2)), ("A4", (2, 0, 3, 1)), ("E7", (6, 3, 0, 4, 1, 5, 2))])
+def test_simple_order_lives_in_the_simple_coordinates(system, name, order):
+    # permuting _scoord_mat's columns alone reorders simple_indices, which
+    # cannot be assigned, and every class representative keeps its trace
+    rs = reordered(name, order)
+    assert rs.simple_indices == tuple(system(name).simple_indices[j] for j in order)
+    with pytest.raises(AttributeError):
+        rs.simple_indices = system(name).simple_indices
+    for cls in classify_involutions(rs):
+        assert coxeter_trace(cls.representative.element) == rs.rank - 2 * cls.degree
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "E6", "E7"])

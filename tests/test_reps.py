@@ -8,9 +8,9 @@ import pytest
 from weylinv import (GapBudget, GroupElement, InternalError, character_gap,
                      classify_involutions, compose, conj_subsystem_rep,
                      coxeter_rep, default_catalogue, direct_sum,
-                     enumerate_group, exterior_cox_rep, identity, invert,
-                     perm_roots_rep, search_gap, sign_rep, simple_reflections,
-                     tensor, trivial_rep)
+                     enumerate_group, exterior_cox_rep, find_subsystem,
+                     identity, invert, perm_roots_rep, search_gap, sign_rep,
+                     simple_reflections, tensor, trivial_rep)
 from weylinv.reps import _signed_axis_action
 
 
@@ -130,7 +130,7 @@ def test_character_constant_on_classes(system):
                 w = random_word(rs, rng)
                 conj = compose(compose(w, g), invert(w))
                 for rep in reps:
-                    assert rep.trace(conj) == rep.class_value(cls.representative.mask)
+                    assert rep.trace(conj) == rep.class_value(cls)
 
 
 def test_conj_subsystem_rep_dimensions(system):
@@ -140,6 +140,26 @@ def test_conj_subsystem_rep_dimensions(system):
     rs8 = system("E8")
     rep8 = conj_subsystem_rep(rs8, "D8")
     assert rep8.dim == 135
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
+def test_conj_subsystem_character_counts_the_conjugates_an_element_fixes(system, name):
+    # the conjugates of a subsystem's positive roots, from the whole group and
+    # its root permutations alone; a trace counts those the element maps onto
+    # themselves (a root and its negative, i and i + P, are one positive root)
+    rs = system(name)
+    group, P = enumerate_group(rs), rs.n_positive
+    for target in ("A1", "D2", "D3"):
+        sub = find_subsystem(rs, target)
+        if sub is None:
+            continue
+        roots = [i for i in range(P) if sub.positive_closure_mask() >> i & 1]
+        conjugates = {frozenset(int(w.images[i]) % P for i in roots) for w in group}
+        rep = conj_subsystem_rep(rs, sub)
+        assert rep.dim == len(conjugates)
+        for g in group:
+            fixed = sum(1 for c in conjugates if {int(g.images[i]) % P for i in c} == c)
+            assert rep.trace(g) == fixed
 
 
 def test_rep_rejects_foreign_element(system):

@@ -50,7 +50,7 @@ COMMANDS = [
     (["involutions", "A2"], INVOLUTIONS),
     (["cubes", "A2"], INVOLUTIONS),
     (["reduce", "G2"], INVOLUTIONS),
-    (["basis", "A2"], INVOLUTIONS | {"invariants", "reps"}),
+    (["basis", "A2"], INVOLUTIONS | {"invariants"}),
     (["pair", "A2", "--expr", "sw(cox,1)^2"], INVOLUTIONS | {"invariants", "reps"}),
     (["gap", "A3"], INVOLUTIONS | {"reps"}),
     (["verify", "--fast"], EVERYTHING),
