@@ -8,23 +8,24 @@ acts on both by permuting mask bits.
 
 One orbit engine does every conjugacy computation on such masks, held as
 numpy rows of little-endian 64-bit words, least significant word first, so
-byte j of a row holds mask bits 8j .. 8j + 7.  A permutation of the roots
-acts through per-byte lookup tables (the image of a row is the sum of one
-table entry per byte), and so does a 64-bit key per mask, the wrapping sum
-of fixed-seed keys of its bits; one fused table yields the image row and its
-key under any simple reflection, so only the images kept are gathered.  The
-orbit of a mask is one breadth-first search from it.  Each new mask records
-some of the reflections that lead back to the level before: the one that
-made it and those its source recorded that commute with that one.  Its
-images under them are skipped, and so is its image under s_g when it records
-an s_h with h < g that commutes with s_g: that image closes a commuting
-square whose other three edges the search took earlier (the commutation
-rule of Cartier and Foata, LNM 85, 1969), so the search reaches it another
-way, and no mask is missed.  A mask need not record every reflection back, and its image
-under one it did not record may be kept; that image lies in the level
-before, so kept images are looked up by key in the current level and that
-one.  Every key match and every repeated key is compared row by row, and a
-last pass checks that keys are distinct across the whole search, so two
+byte j of a row holds mask bits 8j .. 8j + 7.  Its per-byte tables have one
+builder and one reader, which combines one entry per byte of a row: their
+sum is the row's image under a permutation of the roots, or its 64-bit key
+(the wrapping sum of fixed-seed keys of its bits); one fused table yields
+the image row and its key under any simple reflection, so only the images
+kept are gathered.  The orbit of a mask is one breadth-first search from it.
+Each new mask records some of the reflections that lead back to the level
+before: the one that made it and those its source recorded that commute with
+that one.  Its images under them are skipped (the reader ORs their skip
+sets), and so is its image under s_g when it records an s_h with h < g that
+commutes with s_g: that image closes a commuting square whose other three
+edges the search took earlier (the commutation rule of Cartier and Foata,
+LNM 85, 1969), so the search reaches it another way, and no mask is missed.
+A mask need not record every reflection back, and its image under one it did
+not record may be kept; that image lies in the level before, so kept images
+are looked up by key in the current level and that one, and filtered only on
+a match.  Every key match and every repeated key is compared row by row, and
+a last pass checks that keys are distinct across the whole search, so two
 masks sharing a key raise InternalError instead of yielding a wrong orbit.
 The engine gives each orbit's size and least mask, the orbit of each given
 mask and counts of an orbit's masks inside a given mask.  Mask rows, the
@@ -108,9 +109,9 @@ class MaskEngine:
     """Permutations of the positive roots acting on packed bitmask rows.
 
     A row is `nwords` little-endian 64-bit words, least significant first, so
-    byte j of a row's byte view holds mask bits 8j .. 8j + 7.  Row v * ngens
-    + g of the fused table of byte j is the image under simple reflection g
-    of the bits v sets in byte j, then its key.
+    byte j of its byte view holds mask bits 8j .. 8j + 7.  _byte_tables builds
+    every table and _read reads every one; row v * ngens + g of fused table j
+    is the image under s_g of the bits v sets in byte j, then its key.
     """
 
     def __init__(self, rs: RootSystem):
@@ -137,30 +138,28 @@ class MaskEngine:
         self._skips = _byte_tables(skips, np.bitwise_or)
         self._stored: list[_Orbit] = []  # every orbit found, in order
 
-    def apply(self, rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        """Sum of one table entry per byte of each row: the keys for the key
-        tables, the image rows for the tables of a permutation."""
-        view = self._bytes(rows)
-        acc = np.zeros((len(rows), tables.shape[2]), dtype=_WORD)
+    def _read(self, view: np.ndarray, tables: np.ndarray, op: np.ufunc, gens=None) -> np.ndarray:
+        """Per row i of a byte view, op over j of entry v of table j, v the
+        row's byte j, or of fused entry v * ngens + gens[i]."""
+        acc = None
         for j, table in enumerate(tables):
-            acc += table.take(view[:, j], axis=0)
+            index = view[:, j]
+            if gens is not None:
+                index = np.multiply(index, self.ngens, dtype=np.intp)
+                index += gens
+            entry = table.take(index, axis=0)
+            acc = entry if acc is None else op(acc, entry, out=acc)
         return acc
 
     def images(self, rows: np.ndarray, at: np.ndarray, gens: np.ndarray) -> np.ndarray:
-        """Row i is the image of rows[at[i]] under simple reflection gens[i],
-        then its key: the sum over bytes of a fused table row."""
-        view = self._bytes(rows[at])
-        acc = np.zeros((len(at), self.nwords + 1), dtype=_WORD)
-        for j, table in enumerate(self.fused):
-            index = np.multiply(view[:, j], self.ngens, dtype=np.intp)
-            acc += table.take(np.add(index, gens, out=index), axis=0)
-        return acc
+        """Row i: the image of rows[at[i]] under simple reflection gens[i], then its key."""
+        return self._read(self._bytes(rows[at]), self.fused, np.add, gens)
 
     def _bytes(self, rows: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        return self.apply(rows, self._key_tables)[:, 0]
+        return self._read(self._bytes(rows), self._key_tables, np.add)[:, 0]
 
     def rows(self, masks: Sequence[int]) -> np.ndarray:
         data = b"".join(m.to_bytes(8 * self.nwords, "little") for m in masks)
@@ -171,8 +170,8 @@ class MaskEngine:
 
     def fixed_points(self, rows: np.ndarray, perm: np.ndarray) -> int:
         """How many rows the permutation sending mask bit i to bit perm[i] fixes."""
-        same = self.apply(rows, _byte_tables(self._units[perm], np.add)) == rows
-        return int(np.count_nonzero(reduce(np.logical_and, same.T)))  # in every word
+        images = self._read(self._bytes(rows), _byte_tables(self._units[perm], np.add), np.add)
+        return int(np.count_nonzero(reduce(np.logical_and, (images == rows).T)))  # in every word
 
     def least_mask(self, rows: np.ndarray) -> int:
         """The least mask among the given rows."""
@@ -264,8 +263,9 @@ class MaskEngine:
             for level_rows, level_keys in levels[:-3:-1]:  # levels d, d-1
                 pos = np.minimum(np.searchsorted(level_keys, keys), len(level_keys) - 1)
                 hit = level_keys[pos] == keys
-                _no_collision(np.array_equal(level_rows[pos[hit]], images[order[hit], :-1]))
-                order, keys = order[~hit], keys[~hit]
+                if hit.any():  # most lookups find nothing
+                    _no_collision(np.array_equal(level_rows[pos[hit]], images[order[hit], :-1]))
+                    order, keys = order[~hit], keys[~hit]
             if not len(keys):
                 break
             images, parents = images[order, :-1], parents[order]
@@ -273,11 +273,11 @@ class MaskEngine:
             _no_collision(np.array_equal(images[1:][again], images[:-1][again]))
             if len(levels) > self.nbits:  # no reduced word is longer
                 raise InternalError("orbit search went past the longest element")
-            first = np.flatnonzero(np.r_[True, ~again])
+            first = np.flatnonzero(np.concatenate(([True], ~again)))
             level = images[first], keys[first]
             levels.append(level)
             parents = np.bitwise_or.reduceat(parents, first, axis=0)
-            skips = reduce(np.bitwise_or, (t[p] for t, p in zip(self._skips, parents.T)))
+            skips = self._read(parents, self._skips, np.bitwise_or)
             at, gens = np.unpackbits(~skips, axis=1, count=self.ngens, bitorder="little").nonzero()
             images = self.images(level[0], at, gens)
             parents = parents[at] & self._commuting[gens] | self._single[gens]
