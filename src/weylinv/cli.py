@@ -301,7 +301,7 @@ def cmd_pair(args) -> Output:
     budget = GapBudget(max_exterior=args.budget)
     base_reps, _ = base_catalogue(rs, budget)
     cox = next(rep for rep in base_reps if rep.descriptor == "cox")
-    aliases = _catalogue_aliases(default_catalogue(rs, budget, base_reps))
+    aliases = _catalogue_aliases(default_catalogue(rs, budget))
     exprs = [(f"sw(cox,{i})", sw(cox, i)) for i in range(rs.rank + 1)]
     for text in args.expr:
         exprs.append((text, parse_expression(text, rs, aliases)))
@@ -348,8 +348,8 @@ def cmd_gap(args) -> Output:
     rs = build_root_system(args.type)
     classes = classify_involutions(rs)
     budget = GapBudget(max_exterior=args.budget)
-    base, skipped = base_catalogue(rs, budget)
-    reports = hard_case_reports(classes, default_catalogue(rs, budget, base))
+    _, skipped = base_catalogue(rs, budget)
+    reports = hard_case_reports(classes, default_catalogue(rs, budget))
     rows = [[f"{r.pair[0]}|{r.pair[1]}", str(r.target),
              "; ".join(f"{d}:{g:+d}" for d, g in r.hits) or "none found in catalogue"]
             for r in reports]

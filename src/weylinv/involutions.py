@@ -332,7 +332,7 @@ class Cube:
     cube shares them, and they go with the cube.
     """
 
-    __slots__ = ("home", "roots", "mask", "_memo")
+    __slots__ = ("home", "roots", "mask", "_hash", "_memo")
 
     def __init__(self, home: RootSystem, roots: Sequence[int]):
         roots = tuple(sorted(roots))
@@ -346,6 +346,7 @@ class Cube:
                         f"cube roots {roots[a]} and {roots[b]} are not orthogonal")
         self.home = home
         self.roots = roots
+        self._hash = hash(roots)
         self.mask = 0
         for i in roots:
             self.mask |= 1 << i
@@ -359,7 +360,7 @@ class Cube:
                 and self.roots == other.roots)
 
     def __hash__(self):
-        return hash(self.roots)
+        return self._hash
 
     def __repr__(self):
         return f"Cube{self.roots}"

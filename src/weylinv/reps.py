@@ -250,13 +250,16 @@ def base_catalogue(rs: RootSystem, budget: GapBudget = GapBudget(),
 
     A nonempty skip list means later searches are partial: some built-in
     subsystem-conjugate representation was too large for the orbit cap.
+    The entries are built once per system and budget value; each call gets
+    fresh lists over the shared representations.
     """
-    base: list[Representation] = [
-        trivial_rep(rs),
-        coxeter_rep(rs),
-        sign_rep(rs),
-        perm_roots_rep(rs),
-    ]
+    base, skipped = _base_catalogue(rs, budget)
+    return list(base), list(skipped)
+
+
+@memoized
+def _base_catalogue(rs: RootSystem, budget: GapBudget) -> tuple[tuple, tuple]:
+    base = [trivial_rep(rs), coxeter_rep(rs), sign_rep(rs), perm_roots_rep(rs)]
     skipped: list[str] = []
     for k in range(2, min(rs.rank, budget.max_exterior) + 1):
         base.append(exterior_cox_rep(rs, k))
@@ -274,18 +277,12 @@ def base_catalogue(rs: RootSystem, budget: GapBudget = GapBudget(),
     spec = rs.type_spec.factors
     if len(spec) == 1 and spec[0][0] == "D" and spec[0][1] % 2 == 0:
         base.extend(half_subset_split_reps(rs))
-    return base, skipped
+    return tuple(base), tuple(skipped)
 
 
-def default_catalogue(rs: RootSystem, budget: GapBudget = GapBudget(),
-                      base: Optional[list[Representation]] = None,
-                      ) -> list[Representation]:
-    """The built-in searchable representations of one group, fixed order.
-
-    base is the first list returned by base_catalogue, if already built.
-    """
-    if base is None:
-        base, _ = base_catalogue(rs, budget)
+def default_catalogue(rs: RootSystem, budget: GapBudget = GapBudget()) -> list[Representation]:
+    """The built-in searchable representations of one group, fixed order."""
+    base, _ = base_catalogue(rs, budget)
     out = list(base)
     for i in range(len(base)):
         for j in range(i, len(base)):

@@ -11,6 +11,7 @@ stdout the grid is pinned to; check a change against it with
     diff tests/golden/digests.json digests.new.json
 
 Re-record digests.json only on purpose, naming every digest that moved.
+tests/test_cli.py checks most of the grid in process with `stdout_digest`.
 """
 
 import hashlib
@@ -25,10 +26,15 @@ GRID = Path(__file__).with_name("argv.json")
 TIMING = re.compile(rb"\(\d+\.\ds\)")
 
 
+def stdout_digest(code: int, stdout: bytes) -> list:
+    """[exit code, sha256 of stdout with its seconds masked]: one grid entry."""
+    return [code, hashlib.sha256(TIMING.sub(b"(*s)", stdout)).hexdigest()]
+
+
 def digest(argv: list[str]) -> list:
     done = subprocess.run([sys.executable, "-m", "weylinv.cli", *argv],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return [done.returncode, hashlib.sha256(TIMING.sub(b"(*s)", done.stdout)).hexdigest()]
+    return stdout_digest(done.returncode, done.stdout)
 
 
 def main() -> None:

@@ -5,20 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from weylinv import (GapBudget, GroupElement, InternalError, character_gap,
+from weylinv import (GapBudget, InternalError, character_gap,
                      classify_involutions, compose, conj_subsystem_rep,
                      coxeter_rep, default_catalogue, direct_sum,
                      enumerate_group, exterior_cox_rep, find_subsystem,
                      identity, invert, perm_roots_rep, search_gap, sign_rep,
                      simple_reflections, tensor, trivial_rep)
 from weylinv.reps import _signed_axis_action
-
-
-def minus_one(rs):
-    P = rs.n_positive
-    images = np.array([i + P if i < P else i - P for i in range(2 * P)],
-                      dtype=np.int16)
-    return GroupElement(images, rs)
 
 
 def random_word(rs, rng, length=10):
@@ -30,7 +23,7 @@ def random_word(rs, rng, length=10):
 
 # -- single characters -----------------------------------------------------------
 
-def test_coxeter_character_of_minus_one_in_e8(system):
+def test_coxeter_character_of_minus_one_in_e8(system, minus_one):
     rs = system("E8")
     assert coxeter_rep(rs).trace(minus_one(rs)) == -8
 
@@ -216,11 +209,24 @@ def test_search_gap_hits_recompute(system):
 
 
 def test_default_catalogue_deterministic_order(system):
-    rs = system("B3")
-    first = [rep.descriptor for rep in default_catalogue(rs)]
-    second = [rep.descriptor for rep in default_catalogue(rs)]
+    from weylinv import build_root_system
+    # the catalogue is memoized per system, so the second build needs a fresh one
+    first = [rep.descriptor for rep in default_catalogue(system("B3"))]
+    second = [rep.descriptor for rep in default_catalogue(build_root_system("B3"))]
     assert first == second
     assert first[:4] == ["triv1", "cox", "sign", "permroots"]
+
+
+def test_catalogue_is_built_once_per_system_and_budget(system):
+    from weylinv import base_catalogue
+    rs = system("B3")
+    implicit, _ = base_catalogue(rs)
+    explicit, skipped = base_catalogue(rs, GapBudget())
+    assert implicit is not explicit and implicit == explicit  # fresh lists, shared reps
+    implicit.clear()
+    skipped.append("mutated")
+    assert base_catalogue(rs) == (explicit, [])
+    assert base_catalogue(rs, GapBudget(max_exterior=2))[0] != explicit
 
 
 def test_catalogue_reports_budget_skips(system):

@@ -14,14 +14,6 @@ from weylinv import (GroupElement, InternalError, compose, element_matrix,
                      simple_reflections, stab_chain, subgroup_order)
 
 
-def minus_one(rs) -> GroupElement:
-    """The negation permutation; only in W when -1 is in the group."""
-    P = rs.n_positive
-    images = np.array([i + P if i < P else i - P for i in range(2 * P)],
-                      dtype=np.int16)
-    return GroupElement(images, rs)
-
-
 # -- reflections -----------------------------------------------------------------
 
 def test_reflection_swaps_root_and_negative(system):
@@ -101,7 +93,7 @@ def test_identity_matrix(system):
     assert np.array_equal(element_matrix(identity(rs)), np.eye(2, dtype=np.int64))
 
 
-def test_minus_one_of_b2_matrix(system):
+def test_minus_one_of_b2_matrix(system, minus_one):
     rs = system("B2")
     m = minus_one(rs)
     mat = element_matrix(m)
