@@ -6,21 +6,20 @@ bitmask of positive roots the element negates.  Cubes (sets of pairwise
 orthogonal positive roots) are keyed by their bitmask as well.  Conjugation
 acts on both by permuting mask bits.
 
-One orbit engine does every conjugacy computation on such masks, held as
-numpy rows of little-endian 64-bit words, least significant word first, so
-byte j of a row holds mask bits 8j .. 8j + 7.  Its per-byte tables have one
-builder and one reader, which combines one entry per byte of a row: their
-sum is the row's image under a permutation of the roots, or its 64-bit key
-(the wrapping sum of fixed-seed keys of its bits); one fused table yields
-the image row and its key under any simple reflection, so only the images
-kept are gathered.  The orbit of a mask is one breadth-first search from it.
-Each new mask records some of the reflections that lead back to the level
-before: the one that made it and those its source recorded that commute with
-that one.  Its images under them are skipped (the reader ORs their skip
-sets), and so is its image under s_g when it records an s_h with h < g that
-commutes with s_g: that image closes a commuting square whose other three
-edges the search took earlier (the commutation rule of Cartier and Foata,
-LNM 85, 1969), so the search reaches it another way, and no mask is missed.
+One orbit engine does every conjugacy computation on such masks, each held
+as an index row: the ascending indices of the bits it sets.  Conjugation
+keeps the number of bits set, so an orbit's rows are one array.  The image
+of a row under a simple reflection is one gather from an index table, then
+a sort; its 64-bit key is the wrapping sum of fixed-seed keys of its bits.
+The orbit of a mask is one breadth-first search from it.  Each new mask
+records some of the reflections that lead back to the level before: the
+one that made it and those its source recorded that commute with that one.
+Its images under them are skipped (per-byte tables of the recorded
+reflections give the skip sets), and so is its image under s_g when it
+records an s_h with h < g that commutes with s_g: that image closes a
+commuting square whose other three edges the search took earlier (the
+commutation rule of Cartier and Foata, LNM 85, 1969), so the search reaches
+it another way, and no mask is missed.
 A mask need not record every reflection back, and its image under one it did
 not record may be kept; that image lies in the level before, so kept images
 are looked up by key in the current level and that one, and filtered only on
@@ -35,7 +34,7 @@ modules ask it for involution classes, the classes of a cube's products
 
 The engine of a root system stores every orbit it found, read-only, one
 orbit per search, and searches from a given mask only if no stored orbit
-holds it.  The number of bits set, which conjugation keeps, rules out most
+holds it.  The number of bits set, the width of its rows, rules out most
 stored orbits; in the rest a mask is looked up by key (an orbit's rows are
 sorted by key), and every key match is compared row by row.  So low-rank
 cubes and small subsystems' orbits are read off the involution layers: a
@@ -67,20 +66,16 @@ from .weyl import (GroupElement, compose, coxeter_trace, group_order,
 # -- the orbit engine --------------------------------------------------------
 
 _KEY_SEED = 0x9E3779B97F4A7C15  # increment of the sequence the bit keys hash
-_WORD = np.dtype("<u8")
 
 
 def negated_rows(images: np.ndarray, rs: RootSystem) -> np.ndarray:
-    """Row i: the positive roots the root permutation images[i] negates, as a mask row."""
-    P = rs.n_positive
-    bits = np.zeros((len(images), (P + 63) // 64 * 64), dtype=bool)
-    bits[:, :P] = images[:, :P] == np.arange(P, 2 * P)
-    return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
+    """Row i: the positive roots the root permutation images[i] negates, as a bool row."""
+    return images[:, :rs.n_positive] == np.arange(rs.n_positive, 2 * rs.n_positive)
 
 
 def mask_of_perm(images: np.ndarray, rs: RootSystem) -> int:
     """Bitmask of the positive roots that a root permutation negates."""
-    return int.from_bytes(negated_rows(images[None], rs).tobytes(), "little")
+    return int.from_bytes(np.packbits(negated_rows(images[None], rs), bitorder="little"), "little")
 
 
 def _byte_tables(per_bit: np.ndarray, op: np.ufunc) -> np.ndarray:
@@ -106,25 +101,26 @@ def _bit_keys(nbits: int) -> np.ndarray:
 
 
 class MaskEngine:
-    """Permutations of the positive roots acting on packed bitmask rows.
+    """Permutations of the positive roots acting on masks held as index rows.
 
-    A row is `nwords` little-endian 64-bit words, least significant first, so
-    byte j of its byte view holds mask bits 8j .. 8j + 7.  _byte_tables builds
-    every table and _read reads every one; row v * ngens + g of fused table j
-    is the image under s_g of the bits v sets in byte j, then its key.
+    The row of a mask is the ascending indices of the bits it sets, in the
+    least unsigned dtype that holds an index below nbits.  Conjugation keeps
+    the number of bits set, so the rows of an orbit are one (size, bits set)
+    array.  The image of a row under s_g is one gather from the index table
+    (entry g * nbits + i: bit i's image), then a sort; the key of a row is
+    the wrapping sum of the fixed-seed keys of its bits.  numpy gathers by
+    small indices several times slower than by intp ones, so every gather
+    casts its indices to intp, a column at a time where it can.
     """
 
     def __init__(self, rs: RootSystem):
         P = rs.n_positive
         self.nbits = P
-        self.nwords = (P + 63) // 64
-        self._units = self.rows([1 << i for i in range(P)])  # row i: mask bit i alone
-        per_bit = np.hstack([self._units, _bit_keys(P)[:, None]])
-        self._key_tables = _byte_tables(per_bit[:, -1:], np.add)
+        self.dtype = np.min_scalar_type(max(P - 1, 0))
+        self._bit_key = _bit_keys(P)
         perms = [rs.positive_perm(p) for p in rs.simple_reflection_perms()]
         self.ngens = len(perms)
-        fused = _byte_tables(np.hstack([per_bit[perm] for perm in perms]), np.add)
-        self.fused = fused.reshape(len(fused), -1, self.nwords + 1)
+        self._table = np.concatenate(perms).astype(self.dtype)
         # A set of simple reflections is a row of little-endian packed bits.  s_h
         # and s_g, h != g, commute exactly when their simple roots are orthogonal,
         # and no root is orthogonal to itself.
@@ -138,98 +134,104 @@ class MaskEngine:
         self._skips = _byte_tables(skips, np.bitwise_or)
         self._stored: list[_Orbit] = []  # every orbit found, in order
 
-    def _read(self, view: np.ndarray, tables: np.ndarray, op: np.ufunc, gens=None) -> np.ndarray:
-        """Per row i of a byte view, op over j of entry v of table j, v the
-        row's byte j, or of fused entry v * ngens + gens[i]."""
-        acc = None
-        for j, table in enumerate(tables):
-            index = view[:, j]
-            if gens is not None:
-                index = np.multiply(index, self.ngens, dtype=np.intp)
-                index += gens
-            entry = table.take(index, axis=0)
-            acc = entry if acc is None else op(acc, entry, out=acc)
-        return acc
-
     def images(self, rows: np.ndarray, at: np.ndarray, gens: np.ndarray) -> np.ndarray:
-        """Row i: the image of rows[at[i]] under simple reflection gens[i], then its key."""
-        return self._read(self._bytes(rows[at]), self.fused, np.add, gens)
+        """Row i: the image of rows[at[i]] under simple reflection gens[i]."""
+        index = rows[at].astype(np.intp)
+        index += (gens * len(self._bit_key))[:, None]
+        images = self._table[index]
+        images.sort(axis=1, kind="stable")  # a radix sort for these dtypes
+        return images
 
-    def _bytes(self, rows: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
+    def keys(self, rows: np.ndarray, bit_key: np.ndarray | None = None) -> np.ndarray:
+        """Row i: the wrapping sum of the keys (bit_key, else the engine's) of its bits."""
+        bit_key = self._bit_key if bit_key is None else bit_key
+        keys = np.zeros(len(rows), dtype=np.uint64)
+        for column in rows.T:
+            keys += bit_key[column.astype(np.intp)]
+        return keys
 
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        return self._read(self._bytes(rows), self._key_tables, np.add)[:, 0]
+    def bits(self, masks: Sequence[int]) -> np.ndarray:
+        """Row i: bit j of masks[i] at column j, as a bool row."""
+        P = len(self._bit_key)
+        data = np.frombuffer(b"".join(m.to_bytes((P + 7) // 8, "little") for m in masks), np.uint8)
+        return np.unpackbits(data.reshape(len(masks), -1), axis=1, count=P, bitorder="little") == 1
 
-    def rows(self, masks: Sequence[int]) -> np.ndarray:
-        data = b"".join(m.to_bytes(8 * self.nwords, "little") for m in masks)
-        return np.frombuffer(data, dtype=_WORD).reshape(-1, self.nwords)
+    def rows(self, bits: np.ndarray) -> np.ndarray:
+        """The index row of each bool row; every row sets equally many bits."""
+        return bits.nonzero()[1].astype(self.dtype).reshape(len(bits), -1)
 
     def mask(self, row: np.ndarray) -> int:
-        return int.from_bytes(np.asarray(row, dtype=_WORD).tobytes(), "little")
+        return sum(1 << i for i in row.tolist())
 
-    def fixed_points(self, rows: np.ndarray, perm: np.ndarray) -> int:
-        """How many rows the permutation sending mask bit i to bit perm[i] fixes."""
-        images = self._read(self._bytes(rows), _byte_tables(self._units[perm], np.add), np.add)
-        return int(np.count_nonzero(reduce(np.logical_and, (images == rows).T)))  # in every word
+    def fixed_points(self, orbit: _Orbit, perm: np.ndarray) -> int:
+        """How many rows of an orbit the permutation sending bit i to bit perm[i]
+        fixes; only rows whose image keeps their key are permuted and compared."""
+        rows = orbit.rows[self.keys(orbit.rows, self._bit_key[perm]) == orbit.keys]
+        images = np.sort(perm.astype(self.dtype)[rows.astype(np.intp)], axis=1, kind="stable")
+        return int(np.count_nonzero((images == rows).all(axis=1)))
 
     def least_mask(self, rows: np.ndarray) -> int:
-        """The least mask among the given rows."""
-        for w in reversed(range(self.nwords)):  # the most significant word first
-            word = rows[:, w]
-            rows = rows[word == word.min()]
+        """The least mask among the given rows of one width."""
+        for j in reversed(range(rows.shape[1])):  # the highest bit first
+            column = rows[:, j]
+            rows = rows[column == column.min()]
         return self.mask(rows[0])
 
-    def orbit_classes(self, rows: np.ndarray) -> list[tuple[int, int]]:
-        """(size, least mask) of the orbit of each given row, in order."""
-        return [(len(orbit.rows), orbit.least) for orbit in self._locate(rows)]
+    def orbit_classes(self, bits: np.ndarray) -> list[tuple[int, int]]:
+        """(size, least mask) of the orbit of each given bool row, in order."""
+        return [(len(orbit.rows), orbit.least) for orbit in self._locate(bits)]
 
-    def classes(self, rows: np.ndarray) -> list[tuple[int, int]]:
-        """(size, least mask) of each orbit through the given rows, sorted."""
-        return sorted(set(self.orbit_classes(rows)))
+    def classes(self, bits: np.ndarray) -> list[tuple[int, int]]:
+        """(size, least mask) of each orbit through the given bool rows, sorted."""
+        return sorted(set(self.orbit_classes(bits)))
 
-    def orbit_rows(self, mask: int) -> np.ndarray:
-        """The rows of the orbit of a mask, a stored read-only array."""
-        (orbit,) = self._locate(self.rows([mask]))
-        return orbit.rows
+    def orbit(self, mask: int) -> _Orbit:
+        """The stored orbit of a mask."""
+        (orbit,) = self._locate(self.bits([mask]))
+        return orbit
 
-    def count_inside(self, rows: np.ndarray, within: int) -> np.ndarray:
-        """For the orbit of each given row, how many of its masks lie inside
-        the mask within."""
-        outside = ~self.rows([within])[0]
+    def count_inside(self, bits: np.ndarray, within: int) -> np.ndarray:
+        """For the orbit of each given bool row, how many of its masks lie
+        inside the mask within."""
+        (allowed,) = self.bits([within])
         counts = []
-        for orbit in self._locate(rows):
+        for orbit in self._locate(bits):
             inside = np.ones(len(orbit.rows), dtype=bool)
-            for words, out in zip(orbit.rows.T, outside):  # no copy of all the rows
-                inside &= (words & out) == 0
+            for column in orbit.rows.T:  # no intp temporary of all the rows
+                inside &= allowed[column.astype(np.intp)]
             counts.append(np.count_nonzero(inside))
         return np.array(counts, dtype=int)
 
-    def _locate(self, rows: np.ndarray) -> list[_Orbit]:
-        """The stored orbit of each given row.  The number of bits set, which
-        conjugation keeps, skips the stored orbits of masks of another size;
-        in the rest a row is looked up by key and every key match is compared
-        row by row.  While some given row is found in none, the orbit of the
-        first such row is searched, stored, and the rest are looked up in it."""
-        keys = self.keys(rows)
-        nbits = np.unpackbits(self._bytes(rows), axis=1).sum(axis=1)
-        sized = {n: np.flatnonzero(nbits == n) for n in set(nbits.tolist())}
-        where, looked = np.full(len(rows), -1), 0
+    def _locate(self, bits: np.ndarray) -> list[_Orbit]:
+        """The stored orbit of each given bool row.  The rows that set n bits
+        are looked up by key in the stored orbits of width n only, and every
+        key match is compared row by row.  While some given row is found in
+        none, the orbit of the first such row is searched, stored, and the
+        rest are looked up in it."""
+        nbits = bits.sum(axis=1)
+        sized = {}  # bits set: where those rows are given, their rows and keys
+        for n in set(nbits.tolist()):
+            look = np.flatnonzero(nbits == n)
+            rows = self.rows(bits[look])
+            sized[n] = look, rows, self.keys(rows)
+        where, looked = np.full(len(bits), -1), 0
         while True:
             for s in range(looked, len(self._stored)):
                 orbit = self._stored[s]
-                look = sized.get(orbit.nbits)
-                if look is None:
+                if orbit.rows.shape[1] not in sized:
                     continue
-                pos = np.minimum(orbit.keys.searchsorted(keys[look]), len(orbit.keys) - 1)
-                hit = orbit.keys[pos] == keys[look]
-                _no_collision((orbit.rows[pos[hit]] == rows[look[hit]]).all())
+                look, rows, keys = sized[orbit.rows.shape[1]]
+                pos = np.minimum(orbit.keys.searchsorted(keys), len(orbit.keys) - 1)
+                hit = orbit.keys[pos] == keys
+                _no_collision(np.array_equal(orbit.rows[pos[hit]], rows[hit]))
                 where[look[hit]] = s
             miss = np.flatnonzero(where < 0)
             if not len(miss):
                 return [self._stored[s] for s in where.tolist()]
             looked = len(self._stored)
-            self._stored.append(self._search(rows[miss[0]], keys[miss[0]]))
+            look, rows, keys = sized[nbits[miss[0]]]
+            first = look.searchsorted(miss[0])
+            self._stored.append(self._search(rows[first], keys[first]))
 
     def _search(self, row: np.ndarray, key: np.uint64) -> _Orbit:
         """The orbit of the given row, not stored, whose key is given.
@@ -254,21 +256,21 @@ class MaskEngine:
         up in level d and in level d-1; without the second lookup the search
         would run past the longest element.  What is left, made distinct, is
         level d+1.  The orbit's rows are sorted by key."""
-        images = np.append(row, key)[None]
+        images, keys = row[None], np.array([key], dtype=np.uint64)
         parents = np.zeros((1, self._single.shape[1]), dtype=np.uint8)  # none for the row
         levels: list = []  # (rows, keys) of each level
         while len(images):
-            order = np.argsort(images[:, -1])
-            keys = images[order, -1]
+            order = np.argsort(keys)
+            keys = keys[order]
             for level_rows, level_keys in levels[:-3:-1]:  # levels d, d-1
                 pos = np.minimum(np.searchsorted(level_keys, keys), len(level_keys) - 1)
                 hit = level_keys[pos] == keys
                 if hit.any():  # most lookups find nothing
-                    _no_collision(np.array_equal(level_rows[pos[hit]], images[order[hit], :-1]))
+                    _no_collision(np.array_equal(level_rows[pos[hit]], images[order[hit]]))
                     order, keys = order[~hit], keys[~hit]
             if not len(keys):
                 break
-            images, parents = images[order, :-1], parents[order]
+            images, parents = images[order], parents[order]
             again = keys[1:] == keys[:-1]
             _no_collision(np.array_equal(images[1:][again], images[:-1][again]))
             if len(levels) > self.nbits:  # no reduced word is longer
@@ -277,9 +279,10 @@ class MaskEngine:
             level = images[first], keys[first]
             levels.append(level)
             parents = np.bitwise_or.reduceat(parents, first, axis=0)
-            skips = self._read(parents, self._skips, np.bitwise_or)
+            skips = reduce(np.bitwise_or, (t[byte] for t, byte in zip(self._skips, parents.T)))
             at, gens = np.unpackbits(~skips, axis=1, count=self.ngens, bitorder="little").nonzero()
             images = self.images(level[0], at, gens)
+            keys = self.keys(images)
             parents = parents[at] & self._commuting[gens] | self._single[gens]
         parts, keys = zip(*levels)
         levels.clear()
@@ -293,21 +296,18 @@ class MaskEngine:
         place = np.empty_like(order)
         place[order] = np.arange(len(order), dtype=order.dtype)
         del order
-        rows, start = np.empty((len(keys), self.nwords), dtype=_WORD), 0
+        rows, start = np.empty((len(keys), len(row)), dtype=self.dtype), 0
         for part in parts:
             rows[place[start:start + len(part)]] = part
             start += len(part)
         del parts
-        for part in rows, keys:
-            part.flags.writeable = False
-        least = self.least_mask(rows)
-        return _Orbit(rows, keys, least, least.bit_count())
+        rows.flags.writeable = keys.flags.writeable = False
+        return _Orbit(rows, keys, self.least_mask(rows))
 
 
 # One stored orbit: its rows sorted by key and their keys, the read-only
-# arrays of the search that found it; its least mask; the number of bits its
-# masks set.
-_Orbit = namedtuple("_Orbit", "rows keys least nbits")
+# arrays of the search that found it, and its least mask.
+_Orbit = namedtuple("_Orbit", "rows keys least")
 
 
 @memoized
@@ -503,7 +503,7 @@ def classify_involutions(rs: RootSystem) -> list[InvolutionClass]:
     classes: list[InvolutionClass] = []
     candidates, degree = [0], 0
     while candidates:
-        found, candidates = engine.classes(engine.rows(candidates)), []
+        found, candidates = engine.classes(engine.bits(candidates)), []
         for ordinal, (size, mask) in enumerate(found):
             cube = Cube(rs, _greedy_roots(rs, mask))
             inv = involution_from_cube(cube)
@@ -553,12 +553,12 @@ def conjugate_subsystems(sub: SubsystemEmbedding) -> tuple[int, Callable[[GroupE
     """How many W-conjugates the positive roots of a subsystem have, and a
     function counting the conjugates an element maps onto themselves."""
     engine, P = _mask_engine(sub.ambient), sub.ambient.n_positive
-    orbit = engine.orbit_rows(sub.positive_closure_mask())
+    orbit = engine.orbit(sub.positive_closure_mask())
 
     def fixed(g: GroupElement) -> int:  # bit i of a mask goes to bit images[i] % P
         return engine.fixed_points(orbit, g.images[:P] % P)
 
-    return len(orbit), fixed
+    return len(orbit.rows), fixed
 
 
 # -- cube classes -----------------------------------------------------------
@@ -591,7 +591,7 @@ def classify_cubes(rs: RootSystem) -> list[CubeClass]:
     engine = _mask_engine(rs)
     classes, candidates = [], [0]
     while candidates:
-        found = engine.classes(engine.rows(candidates))
+        found = engine.classes(engine.bits(candidates))
         classes += [CubeClass(Cube(rs, _mask_bits(mask)), mask.bit_count(), size)
                     for size, mask in found]
         candidates = [mask | 1 << b for _, mask in found
@@ -648,7 +648,7 @@ def verify_reduction(rs: RootSystem, sub: SubsystemEmbedding) -> ReductionReport
         raise InternalError("subgroup order does not divide the group order")
     index = total // sub_order
     classes, within, engine = classify_cubes(rs), sub.positive_closure_mask(), _mask_engine(rs)
-    inside = engine.count_inside(engine.rows([c.representative.mask for c in classes]), within)
+    inside = engine.count_inside(engine.bits([c.representative.mask for c in classes]), within)
     # The classes' orbits are disjoint sets of cubes, so the cubes inside the
     # subsystem are some of its cliques; as many as there are cliques means all.
     if int(inside.sum()) != _clique_count(rs, within):

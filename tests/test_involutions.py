@@ -364,34 +364,56 @@ def test_engine_cube_classes_match_orbit_partition(system, name):
             for c in classify_cubes(rs)] == oracle
 
 
-def check_packing(name, words):
-    from weylinv.involutions import MaskEngine
+def check_packing(name, words, dtype=np.uint8):
+    from weylinv import involutions
+    from weylinv.involutions import MaskEngine, _Orbit
     rs = build_root_system(name)
+    P = rs.n_positive
+    assert (P + 63) // 64 == words  # the masks span that many 64-bit words
     engine = MaskEngine(rs)
-    assert engine.nwords == words
+    assert engine.dtype == dtype
     rng = random.Random(7)
-    masks = [rng.getrandbits(rs.n_positive) for _ in range(40)]
-    rows = engine.rows(masks)
-    assert rows.astype("<u8").tobytes() == \
-        b"".join(m.to_bytes(8 * words, "little") for m in masks)  # byte j: bits 8j..8j+7
-    assert [engine.mask(row) for row in rows] == masks
-    perm = list(range(rs.n_positive))
+    masks = [rng.getrandbits(P) for _ in range(40)]
+    bits = engine.bits(masks)
+    assert bits.tolist() == [[bool(m >> i & 1) for i in range(P)] for m in masks]
+
+    def index_rows(masks):  # masks of one width, as engine rows
+        rows = engine.rows(engine.bits(masks))
+        assert rows.dtype == dtype
+        assert rows.tolist() == [[i for i in range(P) if m >> i & 1] for m in masks]
+        assert [engine.mask(row) for row in rows] == masks
+        return rows
+
+    def by_width(masks):
+        return [[m for m in masks if m.bit_count() == w]
+                for w in sorted({m.bit_count() for m in masks})]
+    perm = list(range(P))
     for a, b in zip(*[iter(rng.sample(perm, 20))] * 2):  # ten swapped pairs of bits
         perm[a], perm[b] = b, a
 
     def image(m):
-        return sum(1 << perm[i] for i in range(rs.n_positive) if m >> i & 1)
+        return sum(1 << perm[i] for i in range(P) if m >> i & 1)
     tested = masks + [m | image(m) for m in masks]  # the second half are fixed
-    assert engine.fixed_points(engine.rows(tested), np.array(perm)) == \
-        sum(image(m) == m for m in tested) >= len(masks)
+    fixed = 0
+    for group in by_width(tested):
+        rows = index_rows(group)
+        fixed += engine.fixed_points(_Orbit(rows, engine.keys(rows), None), np.array(perm))
+    assert fixed == sum(image(m) == m for m in tested) >= len(masks)
+    bit_keys = involutions._bit_keys(P).tolist()
+
+    def key(m):  # the wrapping sum of the keys of the bits m sets
+        return sum(k for i, k in enumerate(bit_keys) if m >> i & 1) % 2 ** 64
     actions = python_mask_actions(rs)
     assert len(actions) == engine.ngens
-    at, gens = np.divmod(np.arange(len(rows) * engine.ngens), engine.ngens)  # every pair
-    fused = engine.images(rows, at, gens).reshape(len(rows), engine.ngens, words + 1)
-    for g, act in enumerate(actions):
-        images = fused[:, g]
-        assert [engine.mask(row) for row in images[:, :-1]] == [act(m) for m in masks]
-        assert images[:, -1].tolist() == engine.keys(images[:, :-1]).tolist()
+    for group in by_width(masks):
+        rows = index_rows(group)
+        assert engine.keys(rows).tolist() == [key(m) for m in group]
+        at, gens = np.divmod(np.arange(len(rows) * engine.ngens), engine.ngens)  # every pair
+        found = engine.images(rows, at, gens).reshape(len(rows), engine.ngens, -1)
+        for g, act in enumerate(actions):
+            images, expected = found[:, g], [act(m) for m in group]
+            assert images.tolist() == [[i for i in range(P) if m >> i & 1] for m in expected]
+            assert engine.keys(images).tolist() == [key(m) for m in expected]
 
 
 def test_engine_packing_across_words():
@@ -404,15 +426,19 @@ def test_engine_packing_across_three_words():
 
 @pytest.mark.parametrize("name", ["E7", "B8"])
 def test_engine_packing_in_one_word(name):
-    check_packing(name, 1)  # 63 positive roots, and 64: every byte has a table
+    check_packing(name, 1)  # 63 positive roots, and 64
+
+
+def test_engine_index_rows_past_256_roots():
+    check_packing("A23", 5, np.uint16)  # 276 positive roots: indices past one byte
 
 
 @pytest.mark.parametrize("name,words", [("E8", 2), ("D12", 3)])
 def test_engine_least_row_across_words(name, words):
     from weylinv.involutions import MaskEngine
     rs = build_root_system(name)
+    assert (rs.n_positive + 63) // 64 == words
     engine = MaskEngine(rs)
-    assert engine.nwords == words
     rng = random.Random(11)
     # each upper word is drawn from three values, so rows often tie on the
     # upper words and the least row is decided by a lower one
@@ -422,12 +448,12 @@ def test_engine_least_row_across_words(name, words):
                                             for w, pool in enumerate(pools, 1))
                   for _ in range(120)})
     rng.shuffle(masks)
-    rows = engine.rows(masks)
-    labels = np.array([rng.randrange(6) for _ in masks])
-    expected = {label: min(engine.mask(row) for row in rows[labels == label])
-                for label in set(labels.tolist())}
-    assert len(expected) > 1
-    assert {label: engine.least_mask(rows[labels == label]) for label in expected} == expected
+    widths = {m.bit_count() for m in masks}  # the rows of one width are one array
+    groups = {w: [m for m in masks if m.bit_count() == w] for w in widths}
+    assert len(groups) > 1
+    assert any(len({m >> 64 for m in group}) < len(group) for group in groups.values())
+    assert {w: engine.least_mask(engine.rows(engine.bits(group))) for w, group in groups.items()} \
+        == {w: min(group) for w, group in groups.items()}
 
 
 def record_calls(monkeypatch, name):
@@ -460,12 +486,12 @@ def test_engine_orbits_match_orbit_partition(monkeypatch, name):
     engine = MaskEngine(rs)
     searches = record_calls(monkeypatch, "_search")
     # one search per orbit, each from one of the given masks
-    assert engine.classes(engine.rows([mask for _, mask in seeds])) == \
+    assert engine.classes(engine.bits([mask for _, mask in seeds])) == \
         sorted((len(orbit), min(orbit)) for orbit in oracle)
     assert len(searches) == len(oracle)
     assert {engine.mask(row) for row, _ in searches} <= {mask for _, mask in seeds}
     for i, mask in seeds:
-        assert sorted(engine.mask(row) for row in engine.orbit_rows(mask)) == sorted(oracle[i])
+        assert sorted(engine.mask(row) for row in engine.orbit(mask).rows) == sorted(oracle[i])
     assert len(searches) == len(oracle)
 
 
@@ -507,7 +533,7 @@ def test_engine_levels_are_distances_from_the_seeds(monkeypatch, name):
         searched.append((self.mask(row), images[start:]))
         return orbit
     monkeypatch.setattr(MaskEngine, "_search", recorded)
-    engine.classes(engine.rows(seeds))
+    engine.classes(engine.bits(seeds))
     for seed, calls in searched:
         distance = oracle_levels(actions, [seed])
         levels = [sorted(engine.mask(row) for row in rows) for rows, _, _ in calls]
@@ -547,7 +573,7 @@ def test_reduction_counts_each_class_inside_the_subsystem():
     inside = [mask for mask in _clique_masks(rs) if mask & ~within == 0]
     classes = classify_cubes(rs)
     engine = _mask_engine(rs)
-    counts = engine.count_inside(engine.rows([c.representative.mask for c in classes]), within)
+    counts = engine.count_inside(engine.bits([c.representative.mask for c in classes]), within)
     oracle = orbit_partition(list(_clique_masks(rs)), python_mask_actions(rs))
     by_least = {min(orbit): orbit for orbit in oracle}
     assert counts.tolist() == [sum(m in inside for m in by_least[c.representative.mask])
@@ -563,13 +589,10 @@ def test_count_inside_matches_a_loop_over_the_orbit_masks(system, amb, sub):
     within = find_subsystem(rs, sub).positive_closure_mask()
     engine = _mask_engine(rs)
     masks = [c.representative.mask for c in classify_cubes(rs)]
-    counts = engine.count_inside(engine.rows(masks), within)
-    width = 8 * engine.nwords  # bytes per mask
+    counts = engine.count_inside(engine.bits(masks), within)
 
     def inside(mask):
-        data = engine.orbit_rows(mask).tobytes()
-        return sum(int.from_bytes(data[i:i + width], "little") & ~within == 0
-                   for i in range(0, len(data), width))
+        return sum(engine.mask(row) & ~within == 0 for row in engine.orbit(mask).rows)
 
     assert counts.tolist() == [inside(mask) for mask in masks]
 
@@ -609,12 +632,12 @@ def test_engine_rejects_key_collision_across_levels(monkeypatch):
     keys[far] = keys[0]  # levels 0 and 3 share a key; no lookup compares them
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
     engine = MaskEngine(rs)
-    seed = engine.rows([0b1])
+    seed = engine.rows(engine.bits([0b1]))
     # the search itself raises, not only a later lookup in the orbit it found
     with pytest.raises(InternalError, match="share a 64-bit key"):
         engine._search(seed[0], engine.keys(seed)[0])
     with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.classes(seed)
+        engine.classes(engine.bits([0b1]))
 
 
 def test_engine_rejects_key_collision_with_the_current_level(monkeypatch):
@@ -628,7 +651,7 @@ def test_engine_rejects_key_collision_with_the_current_level(monkeypatch):
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
     engine = MaskEngine(rs)
     with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.classes(engine.rows([0b001]))
+        engine.classes(engine.bits([0b001]))
 
 
 def test_engine_rejects_key_collision_with_the_level_below(monkeypatch):
@@ -647,7 +670,7 @@ def test_engine_rejects_key_collision_with_the_level_below(monkeypatch):
     # (some roots are three reflections from root 0) before its last check
     engine.nbits = 2
     with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.classes(engine.rows([0b1]))
+        engine.classes(engine.bits([0b1]))
 
 
 def test_engine_rejects_key_collision_across_orbits_of_one_search(monkeypatch):
@@ -664,7 +687,7 @@ def test_engine_rejects_key_collision_across_orbits_of_one_search(monkeypatch):
                   if a1 not in (u, v) and rs.orth_masks[u] >> v & 1]
     seeds = [1 << a1 | 0b1, 1 << u | 1 << v]  # {a1, 0} and orthogonal roots of A4
     engine = MaskEngine(rs)
-    classes = engine.classes(engine.rows(seeds))
+    classes = engine.classes(engine.bits(seeds))
     keys = involutions._bit_keys(P)
     keys[0] = keys[a1]  # so {a1, x} and {0, x} share a key for every root x
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
@@ -673,11 +696,11 @@ def test_engine_rejects_key_collision_across_orbits_of_one_search(monkeypatch):
     # so a collision never yields a wrong table; a mask {a1, x} looked up
     # once both orbits are stored meets {0, x} in the other and raises.
     engine = MaskEngine(rs)
-    assert engine.classes(engine.rows(seeds)) == classes
+    assert engine.classes(engine.bits(seeds)) == classes
     assert len(engine._stored) == 2
     for x in shared:
         with pytest.raises(InternalError, match="share a 64-bit key"):
-            engine.classes(engine.rows([1 << a1 | 1 << x]))
+            engine.classes(engine.bits([1 << a1 | 1 << x]))
 
 
 def test_engine_looks_a_kept_image_up_in_the_level_below(monkeypatch):
@@ -688,7 +711,7 @@ def test_engine_looks_a_kept_image_up_in_the_level_below(monkeypatch):
     # and only the lookup there keeps the search from going on past it
     engine = MaskEngine(rs)
     searches, images = record_calls(monkeypatch, "_search"), record_calls(monkeypatch, "images")
-    assert engine.classes(engine.rows([0b111])) == [(60, 7)]
+    assert engine.classes(engine.bits([0b111])) == [(60, 7)]
     assert len(searches) == 1
     distance = oracle_levels(python_mask_actions(rs), [0b111])
     levels = [sorted(engine.mask(row) for row in rows) for rows, _, _ in images]
@@ -706,47 +729,36 @@ def reordered(name, order):
     return rs
 
 
-def unpacked(rows, nbits):
-    """Bit i of each packed mask row, as a (rows x nbits) 0/1 array."""
-    rows = np.ascontiguousarray(rows, dtype="<u8")
-    return np.unpackbits(rows.view(np.uint8), axis=1, count=nbits, bitorder="little")
-
-
-def packed(bits):
-    """Packed mask rows of little-endian 64-bit words from a 0/1 array whose
-    width is a multiple of 64."""
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
-
-
-def lex_sorted(rows):
-    """The rows in lexicographic order, most significant word first."""
-    return rows[np.lexsort(rows.T)]
+def lex_order(rows):
+    """The order of index rows as masks, the highest bit first (np.lexsort
+    needs a key, so a column of zeros comes first; it decides nothing)."""
+    return np.lexsort(np.vstack([np.zeros(len(rows), dtype=rows.dtype), rows.T]))
 
 
 def certify_stored_orbits(rs):
     """Every orbit the engine stores is one W-orbit: per bit count, the stored
-    rows are distinct, each simple reflection maps them onto themselves and
-    every row into its own orbit, and each orbit is connected under the
-    simple reflections (labels take the least label of a neighbour until
-    none changes).  The simple reflections generate W, so a set of masks that
-    is closed and connected under them is one orbit.  No engine table, key
-    or search is used: each image is the row's bits permuted, then repacked."""
+    rows are sets of distinct indices, distinct rows, each simple reflection
+    maps them onto themselves and every row into its own orbit, and each
+    orbit is connected under the simple reflections (labels take the least
+    label of a neighbour until none changes).  The simple reflections
+    generate W, so a set of masks that is closed and connected under them is
+    one orbit.  No engine table, key or search is used: each image is the
+    row's indices permuted, then sorted."""
     from weylinv.involutions import _mask_engine
-    stored, P = _mask_engine(rs)._stored, rs.n_positive
+    stored = _mask_engine(rs)._stored
     perms = [rs.positive_perm(p) for p in rs.simple_reflection_perms()]
-    for nbits in {orbit.nbits for orbit in stored}:
-        orbits = [orbit.rows for orbit in stored if orbit.nbits == nbits]
+    for width in {orbit.rows.shape[1] for orbit in stored}:
+        orbits = [orbit.rows for orbit in stored if orbit.rows.shape[1] == width]
         rows = np.concatenate(orbits)
+        assert (rows[:, 1:] > rows[:, :-1]).all()  # ascending: each row a set of roots
         owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
-        order = np.lexsort(rows.T)
-        ordered, bits = rows[order], unpacked(rows, 64 * rows.shape[1])
+        order = lex_order(rows)
+        ordered = rows[order]
         assert (ordered[1:] != ordered[:-1]).any(axis=1).all()  # distinct: the orbits are disjoint
         neighbours = np.empty((len(rows), len(perms)), dtype=np.intp)
         for g, perm in enumerate(perms):
-            source = np.arange(bits.shape[1])
-            source[perm] = np.arange(P)  # bit perm[i] of an image is bit i of its row
-            images = packed(np.take(bits, source, axis=1))
-            at = np.lexsort(images.T)
+            images = np.sort(np.asarray(perm)[rows], axis=1)  # bit i goes to bit perm[i]
+            at = lex_order(images)
             assert np.array_equal(images[at], ordered)  # the images are the stored rows
             neighbours[at, g] = order
         assert (owner[neighbours] == owner[:, None]).all()  # each in its row's orbit
@@ -774,7 +786,7 @@ def test_every_orbit_of_reordered_a4_masks_is_one_orbit(order):
     from weylinv.involutions import _mask_engine
     rs = reordered("A4", order)
     engine = _mask_engine(rs)
-    found = engine.classes(engine.rows(range(1 << rs.n_positive)))
+    found = engine.classes(engine.bits(range(1 << rs.n_positive)))
     assert sum(size for size, _ in found) == 1 << rs.n_positive
     certify_stored_orbits(rs)
 
@@ -805,16 +817,21 @@ def test_minus_one_maps_degree_k_classes_onto_degree_r_minus_k(name):
     meets = (pos @ pos.T != 0).astype(np.float32)  # exact: a row sums at most P ones
 
     def orbit(cls):
-        return engine.orbit_rows(cls.representative.mask)
+        return engine.orbit(cls.representative.mask).rows
 
     def complements(rows):
-        orthogonal = np.zeros((len(rows), 64 * rows.shape[1]), dtype=np.uint8)
-        orthogonal[:, :P] = unpacked(rows, P).astype(np.float32) @ meets == 0
-        return packed(orthogonal)
+        bits = np.zeros((len(rows), P), dtype=np.float32)
+        np.put_along_axis(bits, rows.astype(np.intp), 1, axis=1)
+        orthogonal = bits @ meets == 0
+        widths = orthogonal.sum(axis=1)
+        assert (widths == widths[0]).all()  # one orbit: one width
+        return orthogonal.nonzero()[1].astype(rows.dtype).reshape(len(rows), -1)
 
-    assert sorted((rs.rank - c.degree, lex_sorted(complements(orbit(c))).tobytes())
-                  for c in classes) == \
-        sorted((c.degree, lex_sorted(orbit(c)).tobytes()) for c in classes)
+    def table(rows):
+        return rows.shape, rows[lex_order(rows)].tobytes()
+
+    assert sorted((rs.rank - c.degree, table(complements(orbit(c)))) for c in classes) == \
+        sorted((c.degree, table(orbit(c))) for c in classes)
 
 
 @pytest.mark.parametrize("name,order", [
@@ -865,15 +882,15 @@ def test_engine_rejects_key_collision_with_a_stored_orbit(monkeypatch):
     from weylinv.involutions import MaskEngine
     rs = build_root_system("B2")  # the long and the short roots are two orbits
     engine = MaskEngine(rs)
-    stored = [engine.mask(row).bit_length() - 1 for row in engine.orbit_rows(0b1)]
+    stored = [engine.mask(row).bit_length() - 1 for row in engine.orbit(0b1).rows]
     seed = min(set(range(rs.n_positive)) - set(stored))
     keys = involutions._bit_keys(rs.n_positive)
     keys[seed] = keys[stored[-1]]  # the seed shares the key of a stored root of the other orbit
     monkeypatch.setattr(involutions, "_bit_keys", lambda nbits: keys)
     engine = MaskEngine(rs)
-    engine.classes(engine.rows([0b1]))
+    engine.classes(engine.bits([0b1]))
     with pytest.raises(InternalError, match="share a 64-bit key"):
-        engine.classes(engine.rows([1 << seed]))
+        engine.classes(engine.bits([1 << seed]))
 
 
 def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
@@ -898,13 +915,15 @@ def test_cubes_and_conjugate_orbits_reuse_the_involution_layers(monkeypatch):
     assert searched == []
     # an orbit's rows are the stored array, not a copy
     engine = _mask_engine(rs)
-    rows = engine.orbit_rows(find_subsystem(rs, "A1").positive_closure_mask())
+    rows = engine.orbit(find_subsystem(rs, "A1").positive_closure_mask()).rows
     assert any(rows is orbit.rows for orbit in engine._stored)
 
 
 # (searches, rows searched) of classify_involutions then classify_cubes: one
 # search per involution class, and one per cube class not read off them
 SEARCHES = {"E7": ((10, 10_208), (4, 4_860)), "E8": ((10, 199_952), (5, 197_775))}
+# bytes of the stored rows at the end (8 bytes of key each besides)
+STORED_BYTES = {"E7": 71_946, "E8": 2_299_560}
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
@@ -920,8 +939,37 @@ def test_each_search_stores_one_orbit(monkeypatch, name):
                        sum(len(orbit.rows) for orbit in engine._stored[stored:])))
     assert len(searches) == len(engine._stored)
     assert tuple(counts) == SEARCHES[name]
-    rows = np.concatenate([orbit.rows for orbit in engine._stored])
-    assert len(np.unique(rows, axis=0)) == len(rows)  # the orbits are disjoint
+    for width in {orbit.rows.shape[1] for orbit in engine._stored}:
+        rows = np.concatenate([o.rows for o in engine._stored if o.rows.shape[1] == width])
+        assert len(np.unique(rows, axis=0)) == len(rows)  # the orbits are disjoint
+    # a row is a byte per bit set, so the rows hold the sum of size * bits set
+    assert sum(orbit.rows.nbytes for orbit in engine._stored) == \
+        sum(orbit.rows.size for orbit in engine._stored) == STORED_BYTES[name]
+
+
+def test_engine_tables_are_small():
+    # an index table and a key per root, small skip tables: no per-byte image tables
+    from weylinv.involutions import MaskEngine
+    engine = MaskEngine(build_root_system("E8"))
+    tables = [v for k, v in vars(engine).items() if isinstance(v, np.ndarray)]
+    assert tables and sum(v.nbytes for v in tables) <= 4096
+
+
+def test_reduction_adds_little_to_the_peak():
+    # count_inside reads an orbit a column at a time: a take of all its rows
+    # at once would build an intp temporary of 8 bytes a bit (4.5 MB on E8)
+    import tracemalloc
+    rs = build_root_system("E8")
+    classify_involutions(rs)
+    classify_cubes(rs)
+    sub = find_subsystem(rs, "D8")
+    tracemalloc.start()
+    try:
+        assert verify_reduction(rs, sub).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("name", ["D6", "E7", "E8"])
@@ -936,7 +984,7 @@ def test_conjugate_orbits_are_stored_read_only_arrays(name):
     assert "D4" in targets
     engine = _mask_engine(rs)
     for target in targets:
-        rows = engine.orbit_rows(find_subsystem(rs, target).positive_closure_mask())
+        rows = engine.orbit(find_subsystem(rs, target).positive_closure_mask()).rows
         assert not rows.flags.writeable, target
         assert any(rows is orbit.rows for orbit in engine._stored), target
 
@@ -993,7 +1041,9 @@ def test_no_orbit_rows_outside_the_engine():
             walk(getattr(value, "__dict__", None))
     walk(list(rs._memo.values()))
     assert held  # the walk reaches the classes' group elements
-    assert not [a for a in held if a.dtype == np.uint64]  # packed mask rows
+    dtype = MaskEngine(rs).dtype
+    # no keys and no index rows (a 2-d array of the engine's dtype)
+    assert not [a for a in held if a.dtype == np.uint64 or a.ndim == 2 and a.dtype == dtype]
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "F4", "D6", "A1xD6"])
@@ -1029,7 +1079,7 @@ def test_engine_stops_past_the_longest_element():
     engine = MaskEngine(rs)
     engine.nbits = 2  # as if no reduced word were longer than two reflections
     with pytest.raises(InternalError, match="past the longest element"):
-        engine.classes(engine.rows([0b1]))  # some roots are three reflections from root 0
+        engine.classes(engine.bits([0b1]))  # some roots are three reflections from root 0
 
 
 @pytest.mark.parametrize("amb,sub", [(amb, sub) for amb, sub, _ in REDUCTION_PAIRS])
