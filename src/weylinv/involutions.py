@@ -78,9 +78,9 @@ def mask_of_perm(images: np.ndarray, rs: RootSystem) -> int:
     return int.from_bytes(np.packbits(negated_rows(images[None], rs), bitorder="little"), "little")
 
 
-def _byte_tables(per_bit: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """Entry [j, v]: per_bit's rows for the bits v sets in byte j, combined by
-    op, built by doubling: the entries with top bit b are those below op bit b.
+def _byte_tables(per_bit: np.ndarray) -> np.ndarray:
+    """Entry [j, v]: per_bit's rows for the bits v sets in byte j, ORed, built
+    by doubling: the entries with top bit b are those below ORed with bit b.
     A byte past the last bit gets no table."""
     nbytes = (len(per_bit) + 7) // 8
     vals = np.zeros((8 * nbytes, per_bit.shape[1]), dtype=per_bit.dtype)
@@ -88,7 +88,7 @@ def _byte_tables(per_bit: np.ndarray, op: np.ufunc) -> np.ndarray:
     vals = vals.reshape(nbytes, 8, -1)
     tables = np.zeros((nbytes, 256, per_bit.shape[1]), dtype=per_bit.dtype)
     for b in range(8):
-        tables[:, 1 << b:2 << b] = op(tables[:, :1 << b], vals[:, b, None])
+        tables[:, 1 << b:2 << b] = tables[:, :1 << b] | vals[:, b, None]
     return tables
 
 
@@ -131,7 +131,7 @@ class MaskEngine:
             np.packbits(m, axis=1, bitorder="little")
             for m in (orthogonal, single, single | np.triu(orthogonal)))
         # entry [j, v]: the images a row skips when byte j of its parents is v
-        self._skips = _byte_tables(skips, np.bitwise_or)
+        self._skips = _byte_tables(skips)
         self._stored: list[_Orbit] = []  # every orbit found, in order
 
     def images(self, rows: np.ndarray, at: np.ndarray, gens: np.ndarray) -> np.ndarray:

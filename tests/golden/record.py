@@ -11,7 +11,9 @@ stdout the grid is pinned to; check a change against it with
     diff tests/golden/digests.json digests.new.json
 
 Re-record digests.json only on purpose, naming every digest that moved.
-tests/test_cli.py checks most of the grid in process with `stdout_digest`.
+tests/test_cli.py checks most of the grid in process with `stdout_digest`,
+`verify --fast` included; it skips only the --json/--csv forms on E7, E8 and
+A1xE7 but `--json cubes A1xE7`.
 """
 
 import hashlib

@@ -196,21 +196,66 @@ def test_unexpected_error_exits_internal(monkeypatch, capsys):
     assert err.splitlines() == ["internal error: RuntimeError: boom"]
 
 
+def child_env() -> dict:
+    """The environment of a `python -m weylinv.cli` child: src first on its path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 @pytest.mark.parametrize("argv", [["roots", "E8"], ["--json", "involutions", "E7"],
                                   ["verify", "--fast"]])
 def test_closed_stdout_is_no_error(argv):
     # the read end is closed before the child starts, so its first write fails
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run([sys.executable, "-m", "weylinv.cli", *argv], stdout=write,
-                              stderr=subprocess.PIPE, text=True,
-                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+                              stderr=subprocess.PIPE, text=True, env=child_env())
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_stdout_closed_mid_stream_is_no_error():
+    # the JSON (761 KB) outgrows a pipe buffer, so the reader leaves while the
+    # child still writes: that must exit 0 and print no error
+    proc = subprocess.Popen([sys.executable, "-m", "weylinv.cli", "--json", "roots", "A40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()  # a no-op once the child has exited
+    assert (proc.returncode, err) == (0, b"")
+
+
+# A child's ru_maxrss starts at the peak of the process that spawned it (the
+# child shares its parent's memory until exec, and exec keeps that peak), so a
+# child of pytest would report pytest's peak.  A bare interpreter spawns the
+# measured command instead and prints its exit code and its own ru_maxrss.
+PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_reduce_e8_peak_rss():
+    # the orbit engine stores E8's 400k masks as rows of one-byte root indices
+    # and builds no per-byte image tables: the peak RSS of `reduce E8` (both
+    # classifications and the D8 reduction) stays below 44 MB, about 15% above
+    # the 38.0 MB measured with numpy 2.4 on 2 vCPUs
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS,
+                           sys.executable, "-m", "weylinv.cli", "reduce", "E8"],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert peak_kib / 1024 < 44, f"reduce E8 peak RSS {peak_kib / 1024:.1f} MB, limit 44 MB"
 
 
 def test_order_rejects_oversized_type_before_building(capsys):
@@ -229,6 +274,7 @@ def test_verify_fast_exits_zero(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 8
     assert all(l.startswith("PASS") for l in lines)
+    assert record.stdout_digest(code, out.encode()) == DIGESTS["verify --fast"]
 
 
 def test_verify_fast_json_records(capsys):
@@ -275,9 +321,10 @@ def test_verify_failure_exits_one_in_every_format(monkeypatch, capsys):
 # sha256 of stdout] of each argv of tests/golden/argv.json, which
 # tests/golden/record.py re-runs in fresh processes.  These tests run in
 # process, hashed by record.py's own stdout_digest, every grid argv but
-# `verify` and the --json/--csv forms on the three large types (except
-# `--json cubes A1xE7`).  The three groups keep the names, and so the test ids,
-# of the pin sets that lived here before the grid.
+# `verify --fast`, which test_verify_fast_exits_zero pins, and the --json/--csv
+# forms on the three large types (except `--json cubes A1xE7`).  The three
+# groups keep the names, and so the test ids, of the pin sets that lived here
+# before the grid.
 
 GOLDEN = Path(__file__).with_name("golden")
 GRID = json.loads((GOLDEN / "argv.json").read_text())
