@@ -521,6 +521,8 @@ def sw_separation_report(classes: Sequence[InvolutionClass],
     the factors' by the splitting principle), so pass base entries only.
     The walk keeps each class's transform of the product so far, and skips
     a subtree where all of them are 0 (it pairs to 0 with every class).
+    Each symbol's transforms are read once per degree, when the walk first
+    reaches it.
     """
     by_degree: dict[int, list[InvolutionClass]] = {}
     for cls in classes:
@@ -535,6 +537,7 @@ def sw_separation_report(classes: Sequence[InvolutionClass],
                    for i, a in enumerate(group) for b in group[i + 1:]}
         symbols = [(rep, i) for rep in catalogue
                    for i in range(1, min(rep.dim, degree) + 1)]
+        rows: list = [None] * len(symbols)  # each class's transform of a symbol
 
         def walk(start: int, remaining: int, products: list[int], factors: tuple):
             if remaining == 0:
@@ -549,8 +552,9 @@ def sw_separation_report(classes: Sequence[InvolutionClass],
             for idx in range(start, len(symbols)):
                 rep, i = symbols[idx]
                 if pending and i <= remaining:
-                    below = [p & _transform(rep, cls.splitting, i)
-                             for p, cls in zip(products, group)]
+                    if rows[idx] is None:
+                        rows[idx] = [_transform(rep, cls.splitting, i) for cls in group]
+                    below = [p & t for p, t in zip(products, rows[idx])]
                     if any(below):
                         walk(idx, remaining - i, below, factors + ((rep.descriptor, i),))
 

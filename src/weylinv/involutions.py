@@ -42,6 +42,15 @@ degree-k involution is the product of the reflections in k orthogonal roots
 (Carter, Compositio Math. 25 (1972), Lemma 5), so if its (-1)-eigenspace
 holds no other root, its mask is a cube.
 
+The conjugates of a subsystem Psi are read off a stored orbit when one
+serves.  Let Psi-perp be the positive roots orthogonal to every root of Psi.
+If Psi's own orbit is not stored but Psi is the perp of Psi-perp, the
+stored orbit of Psi-perp serves: W keeps inner products, so w(x)-perp =
+w(x-perp), and each conjugate x of Psi is the perp of x-perp, so x ->
+x-perp is a W-equivariant bijection between the two orbits.  They have one
+size, and an element fixes x exactly when it fixes x-perp.  Otherwise
+Psi's orbit is searched.
+
 Involutions and cubes are never walked one by one.  Each degree layer of
 involutions is the orbit of every class representative of the degree below
 times the reflection in each positive root orthogonal to its eigenspace;
@@ -166,6 +175,8 @@ class MaskEngine:
     def fixed_points(self, orbit: _Orbit, perm: np.ndarray) -> int:
         """How many rows of an orbit the permutation sending bit i to bit perm[i]
         fixes; only rows whose image keeps their key are permuted and compared."""
+        if np.array_equal(perm, np.arange(len(perm))):  # as the identity and -1 do
+            return len(orbit.rows)
         rows = orbit.rows[self.keys(orbit.rows, self._bit_key[perm]) == orbit.keys]
         images = np.sort(perm.astype(self.dtype)[rows.astype(np.intp)], axis=1, kind="stable")
         return int(np.count_nonzero((images == rows).all(axis=1)))
@@ -202,36 +213,51 @@ class MaskEngine:
             counts.append(np.count_nonzero(inside))
         return np.array(counts, dtype=int)
 
-    def _locate(self, bits: np.ndarray) -> list[_Orbit]:
-        """The stored orbit of each given bool row.  The rows that set n bits
-        are looked up by key in the stored orbits of width n only, and every
-        key match is compared row by row.  While some given row is found in
-        none, the orbit of the first such row is searched, stored, and the
-        rest are looked up in it."""
+    def stored(self, mask: int) -> _Orbit | None:
+        """The stored orbit of a mask, or None if no stored orbit holds it;
+        never searches."""
+        (s,) = self._lookup(self._given(self.bits([mask])), np.full(1, -1))
+        return None if s < 0 else self._stored[s]
+
+    def _given(self, bits: np.ndarray) -> dict:
+        """Bits set: where the given bool rows that set that many are given,
+        their rows and their keys."""
         nbits = bits.sum(axis=1)
-        sized = {}  # bits set: where those rows are given, their rows and keys
+        given = {}
         for n in set(nbits.tolist()):
             look = np.flatnonzero(nbits == n)
             rows = self.rows(bits[look])
-            sized[n] = look, rows, self.keys(rows)
-        where, looked = np.full(len(bits), -1), 0
-        while True:
-            for s in range(looked, len(self._stored)):
-                orbit = self._stored[s]
-                if orbit.rows.shape[1] not in sized:
-                    continue
-                look, rows, keys = sized[orbit.rows.shape[1]]
-                pos = np.minimum(orbit.keys.searchsorted(keys), len(orbit.keys) - 1)
-                hit = orbit.keys[pos] == keys
-                _no_collision(np.array_equal(orbit.rows[pos[hit]], rows[hit]))
-                where[look[hit]] = s
-            miss = np.flatnonzero(where < 0)
-            if not len(miss):
-                return [self._stored[s] for s in where.tolist()]
-            looked = len(self._stored)
-            look, rows, keys = sized[nbits[miss[0]]]
+            given[n] = look, rows, self.keys(rows)
+        return given
+
+    def _lookup(self, given: dict, where: np.ndarray, start: int = 0) -> np.ndarray:
+        """where, with entry i set to s wherever stored orbit s >= start
+        holds given row i (-1 marks a row found in none so far); never
+        searches.  A row is looked up by key in the stored orbits of its
+        width only, and every key match is compared row by row."""
+        for s in range(start, len(self._stored)):
+            orbit = self._stored[s]
+            if orbit.rows.shape[1] not in given:
+                continue
+            look, rows, keys = given[orbit.rows.shape[1]]
+            pos = np.minimum(orbit.keys.searchsorted(keys), len(orbit.keys) - 1)
+            hit = orbit.keys[pos] == keys
+            _no_collision(np.array_equal(orbit.rows[pos[hit]], rows[hit]))
+            where[look[hit]] = s
+        return where
+
+    def _locate(self, bits: np.ndarray) -> list[_Orbit]:
+        """The stored orbit of each given bool row.  While some given row is
+        found in none, the orbit of the first such row is searched, stored,
+        and the rest are looked up in it."""
+        given = self._given(bits)
+        where = self._lookup(given, np.full(len(bits), -1))
+        while len(miss := np.flatnonzero(where < 0)):
+            look, rows, keys = given[int(bits[miss[0]].sum())]
             first = look.searchsorted(miss[0])
             self._stored.append(self._search(rows[first], keys[first]))
+            where = self._lookup(given, where, len(self._stored) - 1)
+        return [self._stored[s] for s in where.tolist()]
 
     def _search(self, row: np.ndarray, key: np.uint64) -> _Orbit:
         """The orbit of the given row, not stored, whose key is given.
@@ -551,9 +577,19 @@ def cube_products(cube: Cube) -> CubeProducts:
 
 def conjugate_subsystems(sub: SubsystemEmbedding) -> tuple[int, Callable[[GroupElement], int]]:
     """How many W-conjugates the positive roots of a subsystem have, and a
-    function counting the conjugates an element maps onto themselves."""
-    engine, P = _mask_engine(sub.ambient), sub.ambient.n_positive
-    orbit = engine.orbit(sub.positive_closure_mask())
+    function counting the conjugates an element maps onto themselves.  The
+    orbit read is the subsystem's own if it is stored, else that of its perp
+    if it is stored and the subsystem is the perp of its perp (see the
+    module docstring); only else is the subsystem's orbit searched."""
+    rs = sub.ambient
+    engine, P = _mask_engine(rs), rs.n_positive
+    mask = sub.positive_closure_mask()
+    perp = _orthogonal_to(rs, _mask_bits(mask))
+    orbit = engine.stored(mask)
+    if orbit is None and _orthogonal_to(rs, _mask_bits(perp)) == mask:
+        orbit = engine.stored(perp)
+    if orbit is None:
+        orbit = engine.orbit(mask)
 
     def fixed(g: GroupElement) -> int:  # bit i of a mask goes to bit images[i] % P
         return engine.fixed_points(orbit, g.images[:P] % P)

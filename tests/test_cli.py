@@ -362,8 +362,9 @@ def test_grid_lists_one_digest_per_argv():
 
 @pytest.mark.parametrize("argv", SMALL, ids=" ".join)
 def test_every_format_is_pinned(capsys, argv):
-    """Every grid argv on the seven small types, in all three formats, but
-    the plain hard-pair tables of D6."""
+    """Every grid argv on the small types, in all three formats, but the
+    plain hard-pair tables of D6; on A5, D7 and D9, `gap` and `pair`, plain
+    and --json."""
     assert_pinned(capsys, argv)
 
 

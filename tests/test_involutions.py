@@ -989,6 +989,89 @@ def test_conjugate_orbits_are_stored_read_only_arrays(name):
         assert any(rows is orbit.rows for orbit in engine._stored), target
 
 
+def fixed_rows(orbit, perm) -> int:
+    """How many rows of an orbit the permutation of bits fixes, row by row."""
+    images = np.sort(perm[orbit.rows.astype(np.intp)], axis=1)
+    return int(np.count_nonzero((images == orbit.rows).all(axis=1)))
+
+
+def searched_conjugates(sub, classes):
+    """The size of a subsystem's orbit, searched by a fresh engine, and how
+    many of its masks each class representative fixes."""
+    from weylinv.involutions import MaskEngine
+    engine, P = MaskEngine(sub.ambient), sub.ambient.n_positive
+    orbit = engine.orbit(sub.positive_closure_mask())
+    return len(orbit.rows), [fixed_rows(orbit, c.representative.element.images[:P] % P)
+                             for c in classes]
+
+
+# (ambient, subsystem, subsystems whose conjugates are read first): the
+# subsystem is the perp of its perp, whose orbit is stored by then
+PERP_READS = [("E8", "D5", ("D3",)), ("E6", "D3", ()), ("A5", "D3", ()),
+              ("D7", "D5", ()), ("D9", "D5", ()), ("D5", "D5", ())]
+
+
+@pytest.mark.parametrize("name, target, first", PERP_READS,
+                         ids=[f"{name}:{target}" for name, target, _ in PERP_READS])
+def test_conjugates_read_the_stored_orbit_of_the_perp(monkeypatch, name, target, first):
+    from weylinv import conj_subsystem_rep
+    from weylinv.involutions import _mask_engine
+    rs = build_root_system(name)
+    classes = classify_involutions(rs)
+    for other in first:
+        conj_subsystem_rep(rs, other)
+    sub = find_subsystem(rs, target)
+    assert _mask_engine(rs).stored(sub.positive_closure_mask()) is None
+    searches = record_calls(monkeypatch, "_search")
+    rep = conj_subsystem_rep(rs, sub)
+    values = [rep.class_value(c) for c in classes]
+    assert searches == []
+    assert (rep.dim, values) == searched_conjugates(sub, classes)
+
+
+def test_conjugates_search_their_own_orbit_when_the_perp_of_the_perp_is_larger(monkeypatch):
+    from weylinv import conj_subsystem_rep
+    from weylinv.involutions import _mask_bits, _mask_engine, _orthogonal_to
+    rs = build_root_system("E7")
+    classes = classify_involutions(rs)
+    sub = find_subsystem(rs, "D5")
+    mask = sub.positive_closure_mask()
+    perp = _orthogonal_to(rs, _mask_bits(mask))
+    assert perp.bit_count() == 1 and _mask_engine(rs).stored(perp) is not None  # an A1
+    assert _orthogonal_to(rs, _mask_bits(perp)).bit_count() == 30  # a D6, not the D5
+    searches = record_calls(monkeypatch, "_search")
+    rep = conj_subsystem_rep(rs, sub)
+    assert len(searches) == 1 and rep.dim == 378  # not the 63 roots of E7
+    assert (rep.dim, [rep.class_value(c) for c in classes]) == searched_conjugates(sub, classes)
+
+
+def test_e8_catalogue_searches_one_orbit(monkeypatch):
+    from weylinv import base_catalogue
+    rs = build_root_system("E8")
+    classify_involutions(rs)
+    searches = record_calls(monkeypatch, "_search")
+    base, skipped = base_catalogue(rs)
+    dims = {rep.descriptor: rep.dim for rep in base if rep.descriptor.startswith("conj[")}
+    assert dims == {"conj[A1]": 120, "conj[D2]": 3_780, "conj[D3]": 7_560,
+                    "conj[D4]": 3_150, "conj[D5]": 7_560} and not skipped
+    assert [len(row) for row, _ in searches] == [6]  # conj[D3]; conj[D5] reads its orbit
+
+
+def test_fixed_points_of_the_identity_and_minus_one(minus_one):
+    from weylinv.involutions import _mask_engine
+    rs = build_root_system("E8")
+    P = rs.n_positive
+    classes = classify_involutions(rs)
+    classify_cubes(rs)
+    engine = _mask_engine(rs)
+    perms = [identity(rs).images[:P] % P, minus_one(rs).images[:P] % P,
+             classes[1].representative.element.images[:P] % P]  # and a reflection
+    for orbit in engine._stored:
+        counts = [engine.fixed_points(orbit, perm) for perm in perms]
+        assert counts == [fixed_rows(orbit, perm) for perm in perms]
+        assert counts[:2] == [len(orbit.rows)] * 2
+
+
 # (row, reflection) images the orbit search sorted when it computed every
 # image but a row's parents, in classify_involutions then classify_cubes
 UNPRUNED_IMAGES = {"E7": (44_393, 18_900), "E8": (933_604, 859_190)}
