@@ -162,6 +162,11 @@ def _signed_axis_action(rs: RootSystem, g: GroupElement, plus: np.ndarray,
     return perm, sign
 
 
+def _single_even_d(rs: RootSystem) -> bool:
+    """Whether rs is a single D_{2m} factor."""
+    return [(fam, rank % 2) for fam, rank in rs.type_spec.factors] == [("D", 0)]
+
+
 def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representation]:
     """The two halves of the monomial action on half-size axis subsets.
 
@@ -176,8 +181,7 @@ def half_subset_split_reps(rs: RootSystem) -> tuple[Representation, Representati
     that of the action composed with the complement map (twisted) the signs
     of those g sends to their complements.
     """
-    if len(rs.type_spec.factors) != 1 or rs.type_spec.factors[0][0] != "D" \
-            or rs.type_spec.factors[0][1] % 2:
+    if not _single_even_d(rs):
         raise ValueError("half-subset split representations need a single D_{2m} factor")
     n = rs.ambient_dim
     members = np.array(list(combinations(range(n), n // 2)))
@@ -274,8 +278,7 @@ def _base_catalogue(rs: RootSystem, budget: GapBudget) -> tuple[tuple, tuple]:
             base.append(rep)
         else:
             skipped.append(rep.descriptor)
-    spec = rs.type_spec.factors
-    if len(spec) == 1 and spec[0][0] == "D" and spec[0][1] % 2 == 0:
+    if _single_even_d(rs):
         base.extend(half_subset_split_reps(rs))
     return tuple(base), tuple(skipped)
 

@@ -405,15 +405,16 @@ def build_root_system(spec: TypeSpec | str) -> RootSystem:
     return RootSystem(spec)
 
 
+def _root_index(rs: RootSystem, root) -> int:
+    """The index of a root given as a Root, an index or its coordinates."""
+    if isinstance(root, Root):
+        return root.index
+    return root if isinstance(root, int) else rs.index_of(root)
+
+
 def reflect(rs: RootSystem, mirror, v: Sequence) -> tuple[Fraction, ...]:
     """Reflect an ambient vector in the hyperplane of a root, exactly."""
-    if isinstance(mirror, Root):
-        midx = mirror.index
-    elif isinstance(mirror, int):
-        midx = mirror
-    else:
-        midx = rs.index_of(mirror)
-    alpha = rs.roots[midx].coords
+    alpha = rs.roots[_root_index(rs, mirror)].coords
     vec = tuple(Fraction(x) for x in v)
     if len(vec) != rs.ambient_dim:
         raise ValueError(
@@ -462,10 +463,14 @@ def find_subsystem(rs: RootSystem, target: TypeSpec | str) -> Optional[Subsystem
     against the Cartan table of rs: the candidates at each depth are the
     roots, in index order, whose table entries against the roots chosen so
     far all match, found by one boolean test.  Returns None when the
-    exhaustive search finds nothing (e.g. B2 inside A2).
+    exhaustive search finds nothing (e.g. B2 inside A2), and at once when
+    target outranks rs: roots realizing a finite-type Cartan matrix are
+    linearly independent, its Gram matrix being positive definite.
     """
     if isinstance(target, str):
         target = TypeSpec.parse(target)
+    if target.rank > rs.rank:
+        return None
     tc = np.array(target_cartan_matrix(target))
     k = len(tc)
     table = rs.cartan_table

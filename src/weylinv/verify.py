@@ -1,9 +1,11 @@
 """The acceptance battery: every checkable claim, with independent oracles.
 
-Each criterion is a function returning (passed, detail); run_acceptance runs
-them and yields one CheckResult per criterion as it finishes.  The oracle side
-deliberately avoids the fast pipeline: involution censuses come from full
-breadth-first group enumeration, determinants from Fraction elimination.
+Each criterion maps (system, full) to (passed, detail), where system builds
+a type's RootSystem; run_acceptance hands all criteria one memoized builder,
+so a run builds each type once and frees it at the end, and yields one
+CheckResult per criterion as it finishes.  The oracle side deliberately
+avoids the fast pipeline: involution censuses come from full breadth-first
+group enumeration, determinants from Fraction elimination.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -39,15 +42,7 @@ RANK6_TYPES = tuple(
     + [f"C{r}" for r in range(1, 7)] + [f"D{r}" for r in range(2, 7)]
     + ["E6", "F4", "G2", "A1xA1", "A1xA2"])
 
-_SYSTEMS: dict[str, RootSystem] = {}
-
-
-def get_system(name: str) -> RootSystem:
-    """Shared, classification-memoizing root system registry."""
-    rs = _SYSTEMS.get(name)
-    if rs is None:
-        rs = _SYSTEMS[name] = build_root_system(name)
-    return rs
+System = Callable[[str], RootSystem]
 
 
 class CheckResult(NamedTuple):
@@ -121,12 +116,12 @@ def random_conjugate(cls: InvolutionClass, rng: random.Random) -> Involution:
 # -- criteria -------------------------------------------------------------------
 
 
-def check_basis_tables(full: bool = True) -> tuple[bool, str]:
+def check_basis_tables(system: System, full: bool = True) -> tuple[bool, str]:
     """Criterion 1: ranks and degree multisets of the canonical bases."""
     notes = []
     ok = True
     for n in range(2, 9 if full else 6):
-        rs = get_system(f"A{n - 1}")
+        rs = system(f"A{n - 1}")
         basis = canonical_basis(classify_involutions(rs))
         want_rank = 1 + n // 2
         want_degrees = tuple(range(0, n // 2 + 1))
@@ -139,11 +134,9 @@ def check_basis_tables(full: bool = True) -> tuple[bool, str]:
                     ("E7", (0, 1, 2, 3, 3, 4, 4, 5, 6, 7), 60.0),
                     ("E8", (0, 1, 2, 3, 4, 4, 5, 6, 7, 8), 120.0)]
     for name, want, limit in targets:
-        t0 = time.monotonic()
-        rs = build_root_system(name)  # fresh on purpose: the time bound is real
-        basis = canonical_basis(classify_involutions(rs))
+        t0 = time.monotonic()  # cold: a run builds these first, as criterion 1 runs first
+        basis = canonical_basis(classify_involutions(system(name)))
         dt = time.monotonic() - t0
-        _SYSTEMS.setdefault(name, rs)
         if basis.degrees != want:
             ok = False
             notes.append(f"{name}: degrees {basis.degrees} != {want}")
@@ -158,31 +151,31 @@ def check_basis_tables(full: bool = True) -> tuple[bool, str]:
     return ok, "; ".join(notes)
 
 
-def _reductions(full: bool) -> Iterator[tuple[str, str, int, ReductionReport]]:
+def _reductions(system: System, full: bool) -> Iterator[tuple[str, str, int, ReductionReport]]:
     """(ambient, subsystem, index, report) of each reduction the tier checks."""
     for amb, sub, index in REDUCTION_PAIRS:
         if not full and amb in ("E6", "E7", "E8"):
             continue
-        rs = get_system(amb)
+        rs = system(amb)
         yield amb, sub, index, verify_reduction(rs, find_subsystem(rs, sub))
 
 
-def check_reduction_indices(full: bool = True) -> tuple[bool, str]:
+def check_reduction_indices(system: System, full: bool = True) -> tuple[bool, str]:
     """Criterion 2: the five odd subgroup indices, exactly."""
     notes = []
     ok = True
-    for amb, sub, want, report in _reductions(full):
+    for amb, sub, want, report in _reductions(system, full):
         if report.index != want or not report.index_odd:
             ok = False
         notes.append(f"({amb}:{sub})={report.index}")
     return ok, " ".join(notes)
 
 
-def check_cube_coverage(full: bool = True) -> tuple[bool, str]:
+def check_cube_coverage(system: System, full: bool = True) -> tuple[bool, str]:
     """Criterion 3: every cube class of G meets the reduction subsystem."""
     notes = []
     ok = True
-    for amb, _, _, report in _reductions(full):
+    for amb, _, _, report in _reductions(system, full):
         covered = sum(1 for _, _, c in report.cube_classes if c)
         notes.append(f"{amb}: {covered}/{len(report.cube_classes)}")
         if not report.all_covered:
@@ -190,12 +183,12 @@ def check_cube_coverage(full: bool = True) -> tuple[bool, str]:
     return ok, " ".join(notes)
 
 
-def check_pairing_delta(full: bool = False) -> tuple[bool, str]:
+def check_pairing_delta(system: System, full: bool = False) -> tuple[bool, str]:
     """Criterion 4: <sw(Cox,i), class> = 1 iff i equals the class degree."""
     names = RANK6_TYPES + (("E7", "E8") if full else ())
     bad = []
     for name in names:
-        rs = get_system(name)
+        rs = system(name)
         classes = classify_involutions(rs)
         cox = coxeter_rep(rs)
         for cls in classes:
@@ -217,13 +210,13 @@ def _pairing_battery(rs: RootSystem) -> list[InvariantExpr]:
     return exprs
 
 
-def check_splitting_independence(full: bool = True) -> tuple[bool, str]:
+def check_splitting_independence(system: System, full: bool = True) -> tuple[bool, str]:
     """Criterion 5: pairings agree across splittings and random conjugates."""
     rng = random.Random(20260808)
     checked_cubes = 0
     checked_conj = 0
     for name in ("B2", "B4", "D4", "F4"):
-        rs = get_system(name)
+        rs = system(name)
         classes = classify_involutions(rs)
         battery = _pairing_battery(rs)
         by_mask: dict[int, list[Cube]] = {}
@@ -254,11 +247,11 @@ def check_splitting_independence(full: bool = True) -> tuple[bool, str]:
     return True, f"{checked_cubes} alternative cubes, {checked_conj} conjugates"
 
 
-def check_oracle_equivalence(full: bool = True) -> tuple[bool, str]:
+def check_oracle_equivalence(system: System, full: bool = True) -> tuple[bool, str]:
     """Criterion 6: the pipeline census equals full-group enumeration."""
     bad = []
     for name in ORACLE_TYPES:
-        rs = get_system(name)
+        rs = system(name)
         pipeline = sorted((cls.degree, cls.size)
                           for cls in classify_involutions(rs))
         oracle = brute_force_census(rs)
@@ -268,13 +261,13 @@ def check_oracle_equivalence(full: bool = True) -> tuple[bool, str]:
                      "mismatch: " + ", ".join(bad))
 
 
-def check_hard_cases(full: bool = True) -> tuple[bool, str]:
+def check_hard_cases(system: System, full: bool = True) -> tuple[bool, str]:
     """Criterion 7: hard pairs are reported and every hit recomputes exactly."""
     rng = random.Random(1)
     notes = []
     names = ("D6", "E7", "E8") if full else ("D6",)
     for name in names:
-        rs = get_system(name)
+        rs = system(name)
         classes = classify_involutions(rs)
         catalogue = default_catalogue(rs, GapBudget())
         by_descriptor = {rep.descriptor: rep for rep in catalogue}
@@ -295,7 +288,7 @@ def check_hard_cases(full: bool = True) -> tuple[bool, str]:
     return True, "; ".join(notes)
 
 
-def check_property_suites(full: bool = True) -> tuple[bool, str]:
+def check_property_suites(system: System, full: bool = True) -> tuple[bool, str]:
     """Criterion 8: algebra relations, Whitney sums, degree law, Lambda identity."""
     rng = random.Random(5)
     # cube-algebra relations
@@ -314,7 +307,7 @@ def check_property_suites(full: bool = True) -> tuple[bool, str]:
                 return False, "(a+b)^2 != a^2 + b^2"
 
     # Whitney sum multiplicativity on every cube of B3
-    rs = get_system("B3")
+    rs = system("B3")
     reps = [coxeter_rep(rs), sign_rep(rs), perm_roots_rep(rs),
             trivial_rep(rs, 2)]
     cubes = list(enumerate_cubes(rs))
@@ -340,7 +333,7 @@ def check_property_suites(full: bool = True) -> tuple[bool, str]:
 
     # Lambda-character identity against the determinant oracle
     for name in ("B3", "F4"):
-        rs2 = get_system(name)
+        rs2 = system(name)
         exts = [exterior_cox_rep(rs2, k) for k in range(rs2.rank + 1)]
         invs = [g for g in enumerate_group(rs2)
                 if compose(g, g).is_identity()]
@@ -379,10 +372,11 @@ def run_acceptance(tier: str = "default") -> Iterator[CheckResult]:
     """
     if tier not in ("fast", "default", "full"):
         raise ValueError(f"unknown tier {tier!r}")
+    system = cache(build_root_system)
     for name, fn in CRITERIA:
         t0 = time.monotonic()
         if name == "4-pairing-delta":
-            passed, detail = fn(full=(tier == "full"))
+            passed, detail = fn(system, full=(tier == "full"))
         else:
-            passed, detail = fn(full=(tier != "fast"))
+            passed, detail = fn(system, full=(tier != "fast"))
         yield CheckResult(name, passed, time.monotonic() - t0, detail)

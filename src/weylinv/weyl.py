@@ -16,7 +16,8 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .roots import InternalError, Root, RootSystem, _close, _simple_at, memoized
+from .roots import (InternalError, RootSystem, _close, _root_index, _simple_at,
+                    memoized)
 
 
 class GroupElement:
@@ -86,13 +87,7 @@ def order_of(x: GroupElement) -> int:
 
 def reflection_element(rs: RootSystem, alpha) -> GroupElement:
     """The root permutation of the reflection in a root of rs."""
-    if isinstance(alpha, Root):
-        idx = alpha.index
-    elif isinstance(alpha, int):
-        idx = alpha
-    else:
-        idx = rs.index_of(alpha)
-    return GroupElement(rs.reflection_perm(idx), rs)
+    return GroupElement(rs.reflection_perm(_root_index(rs, alpha)), rs)
 
 
 def simple_reflections(rs: RootSystem) -> list[GroupElement]:

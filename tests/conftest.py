@@ -1,15 +1,17 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
-from weylinv import GroupElement
-from weylinv.verify import get_system
+from weylinv import GroupElement, build_root_system
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def system():
-    """The acceptance battery's shared registry, so each system and its
-    classification are built once per session."""
-    return get_system
+    """One memoized builder for the test session, so each system and its
+    classification are built once per session.  The acceptance battery's
+    own runs build theirs apart."""
+    return cache(build_root_system)
 
 
 @pytest.fixture

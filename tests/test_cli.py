@@ -302,8 +302,8 @@ def test_verify_fast_csv_table(capsys):
 def test_verify_failure_exits_one_in_every_format(monkeypatch, capsys):
     from weylinv import verify
     monkeypatch.setattr(verify, "CRITERIA", (
-        ("pass", lambda full: (True, "fine")),
-        ("fail", lambda full: (False, "broken"))))
+        ("pass", lambda system, full: (True, "fine")),
+        ("fail", lambda system, full: (False, "broken"))))
     code, out, _ = run_cli(capsys, "verify", "--fast")
     assert code == 1
     assert [l.split(" (")[0] for l in out.splitlines()] == ["PASS pass", "FAIL fail"]

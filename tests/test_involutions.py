@@ -364,12 +364,14 @@ def test_engine_cube_classes_match_orbit_partition(system, name):
             for c in classify_cubes(rs)] == oracle
 
 
-def check_packing(name, words, dtype=np.uint8):
+def check_index_rows(name, positive, dtype=np.uint8):
+    """Index rows and their dtype, fixed points, keys and images on a type
+    whose number of positive roots lies in the range `positive`."""
     from weylinv import involutions
     from weylinv.involutions import MaskEngine, _Orbit
     rs = build_root_system(name)
     P = rs.n_positive
-    assert (P + 63) // 64 == words  # the masks span that many 64-bit words
+    assert P in positive
     engine = MaskEngine(rs)
     assert engine.dtype == dtype
     rng = random.Random(7)
@@ -416,32 +418,35 @@ def check_packing(name, words, dtype=np.uint8):
             assert engine.keys(images).tolist() == [key(m) for m in expected]
 
 
-def test_engine_packing_across_words():
-    check_packing("E8", 2)  # 120 positive roots
+def test_engine_index_rows_from_65_to_128_roots():
+    check_index_rows("E8", range(65, 129))  # 120 positive roots
 
 
-def test_engine_packing_across_three_words():
-    check_packing("D12", 3)  # 132 positive roots
+def test_engine_index_rows_past_128_roots():
+    check_index_rows("D12", range(129, 257))  # 132 positive roots
 
 
 @pytest.mark.parametrize("name", ["E7", "B8"])
-def test_engine_packing_in_one_word(name):
-    check_packing(name, 1)  # 63 positive roots, and 64
+def test_engine_index_rows_up_to_64_roots(name):
+    check_index_rows(name, range(1, 65))  # 63 positive roots, and 64
 
 
 def test_engine_index_rows_past_256_roots():
-    check_packing("A23", 5, np.uint16)  # 276 positive roots: indices past one byte
+    check_index_rows("A23", range(257, 32768), np.uint16)  # 276: indices past one byte
 
 
-@pytest.mark.parametrize("name,words", [("E8", 2), ("D12", 3)])
-def test_engine_least_row_across_words(name, words):
+@pytest.mark.parametrize("name,positive", [("E8", range(65, 129)), ("D12", range(129, 257))],
+                         ids=["E8", "D12"])
+def test_engine_least_row_past_64_roots(name, positive):
     from weylinv.involutions import MaskEngine
     rs = build_root_system(name)
-    assert (rs.n_positive + 63) // 64 == words
+    assert rs.n_positive in positive
+    words = (rs.n_positive + 63) // 64
     engine = MaskEngine(rs)
     rng = random.Random(11)
-    # each upper word is drawn from three values, so rows often tie on the
-    # upper words and the least row is decided by a lower one
+    # masks are drawn 64 bits at a time and each upper chunk from three
+    # values, so rows often tie on the upper bits and the least row is
+    # decided by a lower one
     pools = [[rng.getrandbits(min(64, rs.n_positive - 64 * w)) for _ in range(3)]
              for w in range(1, words)]
     masks = list({rng.getrandbits(64) + sum(rng.choice(pool) << 64 * w
@@ -582,7 +587,7 @@ def test_reduction_counts_each_class_inside_the_subsystem():
 
 
 @pytest.mark.parametrize("amb,sub", [("E6", "D5"), ("E7", "A1xD6"), ("F4", "B4"),
-                                     ("G2", "A1xA1"), ("E8", "D8")])  # E8: two words
+                                     ("G2", "A1xA1"), ("E8", "D8")])  # E8: past 64 roots
 def test_count_inside_matches_a_loop_over_the_orbit_masks(system, amb, sub):
     from weylinv.involutions import _mask_engine
     rs = system(amb)

@@ -359,6 +359,16 @@ def test_find_subsystem_not_found(system):
     assert find_subsystem(system("A2"), "B2") is None
 
 
+@pytest.mark.parametrize("amb,sub", [("E8", "A9"), ("E8", "A1xE8"), ("D12", "A13"),
+                                     ("G2", "A1xA1xA1")])
+def test_find_subsystem_refuses_a_larger_rank_at_once(amb, sub):
+    # roots realizing a finite-type Cartan matrix are linearly independent,
+    # so no search runs and no Cartan table is built
+    rs = build_root_system(amb)
+    assert find_subsystem(rs, sub) is None
+    assert "cartan_table" not in rs.__dict__
+
+
 def nested_loop_subsystem(rs, target):
     """The first embedding in the order of find_subsystem, one candidate
     and one chosen root at a time."""
@@ -383,10 +393,10 @@ def nested_loop_subsystem(rs, target):
 
 
 @pytest.mark.parametrize("amb,sub", [
-    ("E8", "E7"), ("E8", "D8"), ("E8", "A8"), ("E7", "A7"), ("E7", "D6"), ("E6", "A2xA2xA2"),
-    ("F4", "B4"), ("F4", "C3"), ("B4", "D4"), ("C4", "D4"), ("D6", "A1xD4"), ("G2", "A1xA1"),
-    ("A2", "B2"), ("A5", "D4"), ("A7", "D4"), ("B5", "A5"), ("D5", "A1xA1xA1xA1xA1"),
-    ("D6", "E6"), ("E6", "B3"), ("B3", "G2")])
+    ("E8", "E7"), ("E8", "D8"), ("E8", "A1xE7"), ("E8", "A8"), ("E7", "A7"), ("E7", "D6"),
+    ("E6", "A2xA2xA2"), ("F4", "B4"), ("F4", "C3"), ("B4", "D4"), ("C4", "D4"), ("D6", "A1xD4"),
+    ("G2", "A1xA1"), ("A2", "B2"), ("A5", "D4"), ("A7", "D4"), ("B5", "A5"),
+    ("D5", "A1xA1xA1xA1xA1"), ("D6", "E6"), ("E6", "B3"), ("B3", "G2")])
 def test_find_subsystem_matches_the_nested_loop(system, amb, sub):
     rs = system(amb)
     emb = find_subsystem(rs, sub)
