@@ -242,18 +242,18 @@ def character_gap(rep: Representation, cls_a: InvolutionClass,
 @dataclass(frozen=True)
 class GapBudget:
     max_exterior: int = 4
-    max_orbit: int = 50000
 
 
+MAX_ORBIT = 50000  # the most conjugates a conj[...] entry of the catalogue may have
 _DEFAULT_CONJ_TARGETS = ("A1", "D2", "D3", "D4", "D5")
 
 
 def base_catalogue(rs: RootSystem, budget: GapBudget = GapBudget(),
                    ) -> tuple[list[Representation], list[str]]:
-    """The irreducible-ish catalogue entries plus any skipped by the budget.
+    """The irreducible-ish catalogue entries plus any skipped by the orbit cap.
 
     A nonempty skip list means later searches are partial: some built-in
-    subsystem-conjugate representation was too large for the orbit cap.
+    subsystem-conjugate representation had more than MAX_ORBIT conjugates.
     The entries are built once per system and budget value; each call gets
     fresh lists over the shared representations.
     """
@@ -274,7 +274,7 @@ def _base_catalogue(rs: RootSystem, budget: GapBudget) -> tuple[tuple, tuple]:
         if emb is None:
             continue
         rep = conj_subsystem_rep(rs, emb)
-        if rep.dim <= budget.max_orbit:
+        if rep.dim <= MAX_ORBIT:
             base.append(rep)
         else:
             skipped.append(rep.descriptor)

@@ -182,6 +182,31 @@ def test_exceptional_cube_tables(system, name):
     assert sum(c.size for c in classes) == total
 
 
+def signed_permutation_involutions(n: int) -> int:
+    """b(n), the involutions of W(B_n) = W(C_n): n is fixed, negated, or
+    swapped with one of the other n - 1 points, with or without signs."""
+    b = [1, 2]
+    for k in range(2, n + 1):
+        b.append(2 * b[k - 1] + 2 * (k - 1) * b[k - 2])
+    return b[n]
+
+
+BC_TOTALS = [6, 20, 76, 312, 1384, 6512, 32400]  # b(2), ..., b(8)
+
+
+@pytest.mark.parametrize("name", [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 9)])
+def test_bc_involution_totals_match_the_recurrence(system, name):
+    n = int(name[1:])
+    assert involution_count(system(name)) == signed_permutation_involutions(n) == BC_TOTALS[n - 2]
+
+
+@pytest.mark.parametrize("name, total", [("A1xE7", 2 * 10208), ("B2xG2", 6 * 8)])
+def test_a_product_has_the_product_of_its_factors_totals(system, name, total):
+    factors = [system(factor) for factor in name.split("x")]
+    assert involution_count(system(name)) == total
+    assert total == involution_count(factors[0]) * involution_count(factors[1])
+
+
 def test_degree_zero_class_is_identity(system):
     for name in ("A2", "B3", "G2"):
         classes = classify_involutions(system(name))
@@ -604,10 +629,12 @@ def test_count_inside_matches_a_loop_over_the_orbit_masks(system, amb, sub):
 
 @pytest.mark.parametrize("amb,sub", [(amb, sub) for amb, sub, _ in REDUCTION_PAIRS])
 def test_clique_count_matches_the_clique_masks(system, amb, sub):
+    # the subsystem's positive roots are orthogonal exactly where those of its
+    # own root system are, so their cliques are that system's cliques
     from weylinv.involutions import _clique_count, _clique_masks
     rs = system(amb)
     within = find_subsystem(rs, sub).positive_closure_mask()
-    assert _clique_count(rs, within) == len(list(_clique_masks(rs, within)))
+    assert _clique_count(rs, within) == len(list(_clique_masks(system(sub))))
 
 
 def test_engine_rejects_key_collision(monkeypatch):
@@ -1010,8 +1037,32 @@ def searched_conjugates(sub, classes):
                              for c in classes]
 
 
+# searches base_catalogue makes on a classified system: a subsystem that is
+# the perp of its perp reads whichever of its orbit and its perp's sets fewer
+# bits, and only an orbit no search has stored is searched
+CATALOGUE_SEARCHES = {"A5": 0, "B6": 3, "D5": 1, "D6": 2, "D7": 2, "D9": 1,
+                      "E6": 1, "E7": 2, "E8": 1}
+
+
+@pytest.mark.parametrize("name", CATALOGUE_SEARCHES)
+def test_catalogue_conjugates_match_a_search_of_their_own_orbit(monkeypatch, name):
+    from weylinv import base_catalogue
+    rs = build_root_system(name)
+    classes = classify_involutions(rs)
+    searches = record_calls(monkeypatch, "_search")
+    base, skipped = base_catalogue(rs)
+    assert len(searches) == CATALOGUE_SEARCHES[name] and not skipped
+    conj = [rep for rep in base if rep.descriptor.startswith("conj[")]
+    assert conj
+    for rep in conj:
+        sub = find_subsystem(rs, rep.descriptor[len("conj["):-1])
+        values = [rep.class_value(c) for c in classes]
+        assert (rep.dim, values) == searched_conjugates(sub, classes), rep.descriptor
+
+
 # (ambient, subsystem, subsystems whose conjugates are read first): the
-# subsystem is the perp of its perp, whose orbit is stored by then
+# subsystem is the perp of its perp, which sets fewer bits and whose orbit
+# is stored by then
 PERP_READS = [("E8", "D5", ("D3",)), ("E6", "D3", ()), ("A5", "D3", ()),
               ("D7", "D5", ()), ("D9", "D5", ()), ("D5", "D5", ())]
 
@@ -1020,13 +1071,11 @@ PERP_READS = [("E8", "D5", ("D3",)), ("E6", "D3", ()), ("A5", "D3", ()),
                          ids=[f"{name}:{target}" for name, target, _ in PERP_READS])
 def test_conjugates_read_the_stored_orbit_of_the_perp(monkeypatch, name, target, first):
     from weylinv import conj_subsystem_rep
-    from weylinv.involutions import _mask_engine
     rs = build_root_system(name)
     classes = classify_involutions(rs)
     for other in first:
         conj_subsystem_rep(rs, other)
     sub = find_subsystem(rs, target)
-    assert _mask_engine(rs).stored(sub.positive_closure_mask()) is None
     searches = record_calls(monkeypatch, "_search")
     rep = conj_subsystem_rep(rs, sub)
     values = [rep.class_value(c) for c in classes]
@@ -1036,18 +1085,28 @@ def test_conjugates_read_the_stored_orbit_of_the_perp(monkeypatch, name, target,
 
 def test_conjugates_search_their_own_orbit_when_the_perp_of_the_perp_is_larger(monkeypatch):
     from weylinv import conj_subsystem_rep
-    from weylinv.involutions import _mask_bits, _mask_engine, _orthogonal_to
+    from weylinv.involutions import _mask_bits, _orthogonal_to
     rs = build_root_system("E7")
     classes = classify_involutions(rs)
     sub = find_subsystem(rs, "D5")
     mask = sub.positive_closure_mask()
     perp = _orthogonal_to(rs, _mask_bits(mask))
-    assert perp.bit_count() == 1 and _mask_engine(rs).stored(perp) is not None  # an A1
+    assert perp.bit_count() == 1  # an A1
     assert _orthogonal_to(rs, _mask_bits(perp)).bit_count() == 30  # a D6, not the D5
     searches = record_calls(monkeypatch, "_search")
     rep = conj_subsystem_rep(rs, sub)
     assert len(searches) == 1 and rep.dim == 378  # not the 63 roots of E7
     assert (rep.dim, [rep.class_value(c) for c in classes]) == searched_conjugates(sub, classes)
+
+
+def test_e8_conjugates_search_the_narrower_orbit_in_either_order(monkeypatch):
+    from weylinv import conj_subsystem_rep
+    rs = build_root_system("E8")
+    classify_involutions(rs)
+    searches = record_calls(monkeypatch, "_search")
+    d5, d3 = conj_subsystem_rep(rs, "D5"), conj_subsystem_rep(rs, "D3")
+    assert d5.dim == d3.dim == 7_560  # each is the other's perp
+    assert [len(row) for row, _ in searches] == [6]  # D3's rows, not D5's 20
 
 
 def test_e8_catalogue_searches_one_orbit(monkeypatch):

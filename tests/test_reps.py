@@ -229,12 +229,13 @@ def test_catalogue_is_built_once_per_system_and_budget(system):
     assert base_catalogue(rs, GapBudget(max_exterior=2))[0] != explicit
 
 
-def test_catalogue_reports_budget_skips(system):
-    from weylinv import base_catalogue
-    rs = system("D4")
-    full, skipped = base_catalogue(rs, GapBudget())
+def test_catalogue_reports_budget_skips(system, monkeypatch):
+    from weylinv import base_catalogue, build_root_system, reps
+    full, skipped = base_catalogue(system("D4"), GapBudget())
     assert skipped == []
-    tight, skipped_tight = base_catalogue(rs, GapBudget(max_orbit=2))
+    monkeypatch.setattr(reps, "MAX_ORBIT", 2)
+    # a fresh system: the catalogue is built once per system and budget
+    tight, skipped_tight = base_catalogue(build_root_system("D4"), GapBudget())
     assert skipped_tight  # the conjugation orbits exceed two elements
     assert len(tight) < len(full)
     assert all(s.startswith("conj[") for s in skipped_tight)
